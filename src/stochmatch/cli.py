@@ -24,6 +24,19 @@ def _fmt(value):
     return f"{value:.12f}"
 
 
+def _int_at_least(low):
+    """argparse type for an integer no smaller than low."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return parse
+
+
 def _load_instance(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -158,10 +171,10 @@ def build_parser():
 
     p_scan = sub.add_parser("scan", help="generate instances, check each, write CSV")
     p_scan.add_argument("--family", choices=["gnp", "path", "star", "complete"], default="gnp")
-    p_scan.add_argument("--count", type=int, default=100)
-    p_scan.add_argument("--n", type=int, default=5)
+    p_scan.add_argument("--count", type=_int_at_least(0), default=100)
+    p_scan.add_argument("--n", type=_int_at_least(2), default=5)
     p_scan.add_argument("--density", type=float, default=0.5)
-    p_scan.add_argument("--tmax", type=int, default=3)
+    p_scan.add_argument("--tmax", type=_int_at_least(1), default=3)
     p_scan.add_argument("--seed", type=int, default=0)
     group = p_scan.add_mutually_exclusive_group()
     group.add_argument("--pgrid", action="store_true", default=True,
@@ -175,7 +188,7 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of a policy's value")
     p_sim.add_argument("--instance", required=True)
     p_sim.add_argument("--policy", choices=["greedy", "optimal"], default="greedy")
-    p_sim.add_argument("--trials", type=int, default=100000)
+    p_sim.add_argument("--trials", type=_int_at_least(1), default=100000)
     p_sim.add_argument("--seed", type=int, default=0)
     add_force(p_sim)
     p_sim.set_defaults(func=cmd_simulate)

@@ -45,7 +45,7 @@ def simulate(inst, pol, trials, seed):
     """Run independent trajectories of a policy and summarize matched counts.
 
     Success of a probe is drawn strictly (u < p), so p = 1 always succeeds.
-    Asserts on every trajectory that the matched edges form a matching.
+    Raises RuntimeError if a trajectory's matched edges are not a matching.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -62,7 +62,8 @@ def simulate(inst, pol, trials, seed):
                 break
             u, v, p = inst.edges[e]
             if rng.next_float() < p:
-                assert u not in matched_vertices and v not in matched_vertices
+                if u in matched_vertices or v in matched_vertices:
+                    raise RuntimeError(f"edge {e} matched an already matched vertex")
                 matched_vertices.add(u)
                 matched_vertices.add(v)
                 matched += 1

@@ -4,16 +4,19 @@ Everything here works on explicit decision trees of the optimal policy for a
 concrete instance.  The checked chain bounds the optimum by two filtered
 policies (one for the instance after greedy's first probe succeeds, one for
 after it fails) plus closed-form residuals, and ends at the factor-2 bound
-against greedy.
+against greedy.  check_chain computes its path events in one walk of the
+optimal tree and reads the induction endpoints from the root solve's memo;
+the events module, through residual_RL, residual_RR and check_key_lemma, is
+the reference specification of those events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Instance
+from .core import apply_failure, apply_success
 from .events import (
-    And,
+    UNDEFINED_CUTOFF,
     FailsKthOfVertex,
     Not,
     ProbesEdge,
@@ -23,7 +26,8 @@ from .events import (
     event_probability,
 )
 from .policy import build_tree, greedy_first_edge, greedy_policy, subtree_value
-from .solver import optimal_policy, optimal_value
+from .solver import optimal_policy, state_value
+from .solver import optimal_value  # noqa: F401  (perfbench/tracing.py rebinds it)
 
 TOL = 1e-9
 
@@ -178,7 +182,7 @@ def check_key_lemma(t, inst, gamma, ab):
     probe = ProbesEdge(ab)
     not_probe = Not(probe)
     pnot = 1.0 - event_probability(t, probe)
-    if pnot <= 1e-15:
+    if pnot <= UNDEFINED_CUTOFF:
         return KeyLemmaResult(lhs=0.0, rhs_lemma=0.0, rhs_corollary=0.0)
     c_take_kth = conditional_probability(t, TakesVertexAtKth(gamma, t_gamma), not_probe)
     c_fail_kth = conditional_probability(t, FailsKthOfVertex(gamma, t_gamma), not_probe)
@@ -190,35 +194,37 @@ def check_key_lemma(t, inst, gamma, ab):
     return KeyLemmaResult(lhs=lhs, rhs_lemma=c_fail_kth, rhs_corollary=c_not_take)
 
 
-def _delete_vertices(inst, vertices):
-    """Instance with all edges touching the given vertices removed."""
-    edges = tuple(
-        (u, v, p) for u, v, p in inst.edges if u not in vertices and v not in vertices
-    )
-    return Instance(n=inst.n, edges=edges, patience=inst.patience)
-
-
-def _failure_reduced(inst, ab):
-    """Instance after a failed probe of ab: edge gone, endpoint patience down 1.
-
-    Endpoints whose patience hits zero lose all their edges; their stored
-    patience is reset to 1 so the Instance invariant holds (no edge can touch
-    them, so the value is unaffected).
+def _path_masses(t, ab, ends):
+    """P(ab probed), P(ab never probed) and, per (vertex, t) in ends, the
+    masses of never-probed paths that take the vertex, take it at its t-th
+    touch, fail its t-th touch and never take it.  Masses are summed leaf by
+    leaf in event_probability's order, so they match the events module's.
     """
-    alpha, beta, _ = inst.edges[ab]
-    patience = list(inst.patience)
-    dead = set()
-    for v in (alpha, beta):
-        patience[v] -= 1
-        if patience[v] == 0:
-            patience[v] = 1
-            dead.add(v)
-    edges = tuple(
-        (u, v, p)
-        for e, (u, v, p) in enumerate(inst.edges)
-        if e != ab and u not in dead and v not in dead
-    )
-    return Instance(n=inst.n, edges=edges, patience=tuple(patience))
+    probe = [0.0, 0.0]
+    per_end = [[0.0] * 4 for _ in ends]
+
+    def step(node, ok, touches):
+        """Each endpoint's (touches, taken, t-th outcome) after probing node."""
+        return [
+            (c + 1, taken or ok, ok if c + 1 == k else kth) if gamma in (node.u, node.v)
+            else (c, taken, kth)
+            for (gamma, k), (c, taken, kth) in zip(ends, touches)
+        ]
+
+    def walk(node, prob, never, touches):
+        if node.is_leaf:
+            probe[never] += prob
+            for acc, (_, taken, kth) in zip(per_end, touches) if never else ():
+                acc[0 if taken else 3] += prob
+                if kth is not None:
+                    acc[1 if kth else 2] += prob
+            return
+        never = never and node.edge != ab
+        walk(node.left, prob * node.p, never, step(node, True, touches))
+        walk(node.right, prob * (1.0 - node.p), never, step(node, False, touches))
+
+    walk(t, 1.0, True, [(0, False, None)] * len(ends))
+    return probe[0], probe[1], per_end
 
 
 @dataclass
@@ -264,15 +270,9 @@ class ChainReport:
         ]
 
     def csv_row(self):
-        row = [
-            self.instance_id,
-            repr(self.p_ab),
-            repr(self.e_opt),
-            repr(self.e_grd),
-            repr(self.ratio),
-        ]
-        row += [repr(self.slacks[name]) for name, _ in RELATIONS]
-        return row
+        values = [self.p_ab, self.e_opt, self.e_grd, self.ratio]
+        values += [self.slacks[name] for name, _ in RELATIONS]
+        return [self.instance_id] + [repr(x) for x in values]
 
 
 def check_chain(inst, instance_id="", force=False):
@@ -283,41 +283,41 @@ def check_chain(inst, instance_id="", force=False):
 
     ab = greedy_first_edge(inst)
     alpha, beta, p_ab = inst.edges[ab]
-    t_alpha = inst.patience[alpha]
-    t_beta = inst.patience[beta]
+    r = (1.0 - p_ab) / p_ab
 
-    opt_tree = build_tree(inst, optimal_policy(inst, force=force), force=force)
+    memo = {}
+    opt_tree = build_tree(inst, optimal_policy(inst, force=force, memo=memo), force=force)
     grd_tree = build_tree(inst, greedy_policy(inst), force=force)
     e_opt = subtree_value(opt_tree)
     e_grd = subtree_value(grd_tree)
 
     e_optprime, _ = transform_optprime(opt_tree, ab)
     e_algL = value_algL(opt_tree, ab, alpha, beta)
-    e_RL = residual_RL(opt_tree, ab, alpha, beta, p_ab)
     e_algR = value_algR(inst, opt_tree, ab)
-    e_RR = residual_RR(opt_tree, ab, alpha, beta, t_alpha, t_beta, p_ab)
 
-    probe = ProbesEdge(ab)
-    not_probe = Not(probe)
-    p_probe = event_probability(opt_tree, probe)
+    # residual_RL, residual_RR and check_key_lemma on the walk's masses.
+    ends = ((alpha, inst.patience[alpha]), (beta, inst.patience[beta]))
+    p_probe, p_never, per_end = _path_masses(opt_tree, ab, ends)
     pnot = 1.0 - p_probe
-
-    def cond(a):
-        c = conditional_probability(opt_tree, a, not_probe)
-        return 0.0 if c is None else c
-
-    c_take_a = cond(TakesVertex(alpha))
-    c_take_b = cond(TakesVertex(beta))
-    c_take_a_kth = cond(TakesVertexAtKth(alpha, t_alpha))
-    c_take_b_kth = cond(TakesVertexAtKth(beta, t_beta))
-
-    kl_a = check_key_lemma(opt_tree, inst, alpha, ab)
-    kl_b = check_key_lemma(opt_tree, inst, beta, ab)
+    w = max(pnot, 0.0)  # weight of a residual's conditional term
+    # P(event | ab never probed), worth 0 where the condition has no mass.
+    conds = [[m / p_never if p_never > UNDEFINED_CUTOFF else 0.0 for m in ms] for ms in per_end]
+    (c_take_a, c_take_a_kth, _, _), (c_take_b, c_take_b_kth, _, _) = conds
+    e_RL = p_probe * p_ab + w * c_take_a + w * c_take_b
+    e_RR = p_probe * p_ab + w * c_take_a_kth + w * c_take_b_kth
+    kl_a, kl_b = (
+        KeyLemmaResult(r * take_kth, fail_kth, no_take)
+        if pnot > UNDEFINED_CUTOFF
+        else KeyLemmaResult(0.0, 0.0, 0.0)
+        for _, take_kth, fail_kth, no_take in conds
+    )
 
     # Induction endpoints: the filtered policies are proper policies for the
-    # reduced instances, so the reduced optima bound them from above.
-    opt_left, _ = optimal_value(_delete_vertices(inst, {alpha, beta}), force=force)
-    opt_right, _ = optimal_value(_failure_reduced(inst, ab), force=force)
+    # states after ab succeeds and after it fails, so the optima of those
+    # states bound them from above.  The root solve left both in the memo.
+    opt_left = state_value(inst, apply_success(inst, opt_tree.state, ab), memo)
+    opt_right = state_value(inst, apply_failure(inst, opt_tree.state, ab), memo)
+    memo.clear()  # build_tree's recursive closure keeps it alive until a gc pass
 
     # Greedy recursion identity used by the final step of the chain.
     e_left_grd = subtree_value(grd_tree.left)
@@ -335,32 +335,18 @@ def check_chain(inst, instance_id="", force=False):
             p_ab * e_algL
             + (1.0 - p_ab) * e_algR
             + p_ab * p_probe * (2.0 - p_ab)
-            + p_ab
-            * pnot
-            * (
-                c_take_a
-                + (1.0 - p_ab) / p_ab * c_take_a_kth
-                + c_take_b
-                + (1.0 - p_ab) / p_ab * c_take_b_kth
-            )
+            + p_ab * pnot * (c_take_a + r * c_take_a_kth + c_take_b + r * c_take_b_kth)
         )
         - e_opt,
-        "keylem": min(
-            kl_a.lemma_slack,
-            kl_a.corollary_slack,
-            kl_b.lemma_slack,
-            kl_b.corollary_slack,
-        ),
+        "keylem": min(min(kl.lemma_slack, kl.corollary_slack) for kl in (kl_a, kl_b)),
         "combined": (p_ab * e_algL + (1.0 - p_ab) * e_algR + 2.0 * p_ab) - e_opt,
         "induction": min(opt_left - e_algL, opt_right - e_algR),
         "final": 2.0 * e_grd - e_opt,
     }
-    verdicts = {}
-    for name, kind in RELATIONS:
-        if kind == "eq":
-            verdicts[name] = abs(slacks[name]) <= TOL
-        else:
-            verdicts[name] = slacks[name] >= -TOL
+    verdicts = {
+        name: abs(slacks[name]) <= TOL if kind == "eq" else slacks[name] >= -TOL
+        for name, kind in RELATIONS
+    }
     # The final step also relies on the greedy recursion identity.
     verdicts["final"] = verdicts["final"] and abs(identity_gap) <= TOL
 

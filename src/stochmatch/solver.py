@@ -74,14 +74,14 @@ def state_value(inst, s, memo=None):
     return _solve(inst, s.alive, s.patience_left, memo)[0]
 
 
-def optimal_policy(inst, force=False):
+def optimal_policy(inst, force=False, memo=None):
     """Deterministic policy reading argmax choices from the DP, lazily.
 
     States never reached during the initial solve are solved on demand, so
-    the policy is optimal on every state, reachable or not.
+    the policy is optimal on every state, reachable or not.  It fills memo if given.
     """
     inst.check_caps(force)
-    memo = {}
+    memo = {} if memo is None else memo
 
     def choose(s):
         return _solve(inst, s.alive, s.patience_left, memo)[1]

@@ -118,3 +118,27 @@ class TestSimulate:
         first = capsys.readouterr().out
         main(["simulate", "--instance", path, "--trials", "2000", "--seed", "5"])
         assert capsys.readouterr().out == first
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--trials", "0"],
+            ["scan", "--n", "1"],
+            ["scan", "--tmax", "0"],
+            ["scan", "--count", "-3"],
+            ["scan", "--count", "many"],
+        ],
+    )
+    def test_bad_value_exit_2(self, argv, write, tmp_path, capsys):
+        target = ["--instance", write(SINGLE)] if argv[0] == "simulate" else [
+            "--out", str(tmp_path / "scan.csv")
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + target)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert argv[1] in err
+        assert not (tmp_path / "scan.csv").exists()

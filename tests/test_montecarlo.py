@@ -2,7 +2,7 @@ import pytest
 
 from conftest import arbitrary_policy, random_instances
 
-from stochmatch.core import Instance
+from stochmatch.core import Instance, State
 from stochmatch.montecarlo import SplitMix64, simulate
 from stochmatch.policy import greedy_policy, policy_value
 
@@ -47,6 +47,18 @@ class TestSimulate:
     def test_trials_validated(self, star2):
         with pytest.raises(ValueError):
             simulate(star2, greedy_policy(star2), trials=0, seed=1)
+
+    def test_non_matching_trajectory_raises(self, monkeypatch):
+        # A success transition that removes only the probed edge leaves its
+        # endpoints matchable, so the path's second certain edge reuses
+        # vertex 1.
+        def keep_endpoints(inst, s, e):
+            return State(alive=s.alive & ~(1 << e), patience_left=s.patience_left)
+
+        monkeypatch.setattr("stochmatch.montecarlo.apply_success", keep_endpoints)
+        inst = Instance(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)), patience=(1, 1, 1))
+        with pytest.raises(RuntimeError, match="already matched"):
+            simulate(inst, greedy_policy(inst), trials=1, seed=0)
 
     def test_agrees_with_exact_values(self):
         # Statistical acceptance: at most one of the pairs may stray past

@@ -3,7 +3,15 @@ import pytest
 from conftest import random_instances
 
 from stochmatch.core import Instance
-from stochmatch.events import Not, ProbesEdge, event_probability
+from stochmatch.events import (
+    Not,
+    ProbesEdge,
+    TakesVertex,
+    TakesVertexAtKth,
+    conditional_probability,
+    event_probability,
+)
+from stochmatch.generator import P_GRID
 from stochmatch.policy import build_tree, greedy_first_edge, subtree_value
 from stochmatch.proofcheck import (
     check_chain,
@@ -19,6 +27,30 @@ from stochmatch.solver import optimal_policy, optimal_value
 
 def opt_tree_of(inst):
     return build_tree(inst, optimal_policy(inst))
+
+
+def _reduced_after_success(inst, alpha, beta):
+    edges = tuple((u, v, p) for u, v, p in inst.edges if not {u, v} & {alpha, beta})
+    return Instance(n=inst.n, edges=edges, patience=inst.patience)
+
+
+def _reduced_after_failure(inst, ab):
+    # A vertex whose patience runs out loses its edges; its stored patience
+    # stays 1 so the Instance is valid.
+    alpha, beta, _ = inst.edges[ab]
+    patience = list(inst.patience)
+    dead = set()
+    for v in (alpha, beta):
+        patience[v] -= 1
+        if patience[v] == 0:
+            patience[v] = 1
+            dead.add(v)
+    edges = tuple(
+        (u, v, p)
+        for e, (u, v, p) in enumerate(inst.edges)
+        if e != ab and not {u, v} & dead
+    )
+    return Instance(n=inst.n, edges=edges, patience=tuple(patience))
 
 
 class TestOptPrime:
@@ -88,16 +120,7 @@ class TestAlgL:
             ab = greedy_first_edge(inst)
             alpha, beta, _ = inst.edges[ab]
             t = opt_tree_of(inst)
-            reduced = Instance(
-                n=inst.n,
-                edges=tuple(
-                    (u, v, p)
-                    for u, v, p in inst.edges
-                    if u not in (alpha, beta) and v not in (alpha, beta)
-                ),
-                patience=inst.patience,
-            )
-            opt_reduced, _ = optimal_value(reduced)
+            opt_reduced, _ = optimal_value(_reduced_after_success(inst, alpha, beta))
             assert value_algL(t, ab, alpha, beta) <= opt_reduced + 1e-9
 
 
@@ -225,3 +248,42 @@ class TestChain:
         assert len(header) == len(row)
         assert header[0] == "instance_id"
         assert row[0] == "p4"
+
+
+class TestChainMatchesReference:
+    """check_chain's one-walk quantities equal the events-algebra reference."""
+
+    def test_exactly_equal(self, single_edge):
+        # On the single edge ab is always probed, so the conditionals on "ab
+        # never probed" take the zero-condition branch.
+        instances = random_instances(seed=50, count=40) + [single_edge]
+        grid = [all(p in P_GRID for _, _, p in inst.edges) for inst in instances]
+        assert any(grid) and not all(grid)
+        for inst in instances:
+            report = check_chain(inst)
+            ab = greedy_first_edge(inst)
+            alpha, beta, p_ab = inst.edges[ab]
+            t_alpha, t_beta = inst.patience[alpha], inst.patience[beta]
+            t = opt_tree_of(inst)
+            not_probe = Not(ProbesEdge(ab))
+
+            def cond(a):
+                c = conditional_probability(t, a, not_probe)
+                return 0.0 if c is None else c
+
+            assert report.p_probe_ab == event_probability(t, ProbesEdge(ab))
+            assert report.e_RL == residual_RL(t, ab, alpha, beta, p_ab)
+            assert report.e_RR == residual_RR(t, ab, alpha, beta, t_alpha, t_beta, p_ab)
+            assert report.keylem_alpha == check_key_lemma(t, inst, alpha, ab)
+            assert report.keylem_beta == check_key_lemma(t, inst, beta, ab)
+            assert report.cond_take_alpha == cond(TakesVertex(alpha))
+            assert report.cond_take_beta == cond(TakesVertex(beta))
+            assert report.cond_take_alpha_kth == cond(TakesVertexAtKth(alpha, t_alpha))
+            assert report.cond_take_beta_kth == cond(TakesVertexAtKth(beta, t_beta))
+
+            opt_left, _ = optimal_value(_reduced_after_success(inst, alpha, beta))
+            opt_right, _ = optimal_value(_reduced_after_failure(inst, ab))
+            assert report.slacks["induction"] == min(
+                opt_left - value_algL(t, ab, alpha, beta),
+                opt_right - value_algR(inst, t, ab),
+            )
