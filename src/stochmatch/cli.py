@@ -37,6 +37,17 @@ def _int_at_least(low):
     return parse
 
 
+def _density(text):
+    """argparse type for a gnp edge density in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
+_density.__name__ = "float"  # argparse reports "invalid float value: ..."
+
+
 def _load_instance(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -84,6 +95,9 @@ def cmd_ratio(args):
 
 def cmd_check(args):
     inst = _load_instance(args.instance)
+    if inst.m == 0:
+        print(f"error: {args.instance}: the chain check needs an edge", file=sys.stderr)
+        return 2
     report = check_chain(inst, instance_id=args.instance, force=args.force)
     print(",".join(ChainReport.csv_header()))
     print(",".join(report.csv_row()))
@@ -173,7 +187,7 @@ def build_parser():
     p_scan.add_argument("--family", choices=["gnp", "path", "star", "complete"], default="gnp")
     p_scan.add_argument("--count", type=_int_at_least(0), default=100)
     p_scan.add_argument("--n", type=_int_at_least(2), default=5)
-    p_scan.add_argument("--density", type=float, default=0.5)
+    p_scan.add_argument("--density", type=_density, default=0.5)
     p_scan.add_argument("--tmax", type=_int_at_least(1), default=3)
     p_scan.add_argument("--seed", type=int, default=0)
     group = p_scan.add_mutually_exclusive_group()

@@ -26,6 +26,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 2:
             raise ValueError("need at least 2 vertices")
+        if not 0.0 < self.density <= 1.0:
+            raise ValueError("density must be in (0, 1]")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
 

@@ -3,7 +3,8 @@
 A policy is a callable mapping a State to the edge index it probes next, or
 None to stop.  Stop is only legal (and mandatory) when no edge is probeable.
 Decision trees materialize a policy's full branching structure: left child is
-the successful probe, right child the failed one.
+the successful probe, right child the failed one.  Equal states share one
+node, so a tree is a DAG whose paths are the policy's probe histories.
 """
 
 from __future__ import annotations
@@ -62,21 +63,38 @@ def greedy_first_edge(inst):
 
 
 def build_tree(inst, pol, force=False):
-    """Materialize the full decision tree of a policy."""
+    """Materialize the full decision tree of a policy.
+
+    A policy is a function of the State, so equal states get the same
+    subtree: each distinct state is decided and built once, and its node is
+    shared by every path that reaches it.
+    """
     inst.check_caps(force)
+    return _build(inst, pol, initial_state(inst), {})
 
-    def build(s):
-        e = pol(s)
-        if e is None:
-            if probeable_edges(inst, s):
-                raise ValueError("policy stopped while edges were probeable")
-            return TreeNode(state=s)
+
+def _build(inst, pol, s, nodes):
+    """The node of state s, built once per state and kept in nodes.
+
+    A module-level function rather than a closure, so no reference cycle
+    keeps the policy (and any memo it holds) alive after the build.
+    """
+    key = (s.alive, s.patience_left)
+    node = nodes.get(key)
+    if node is not None:
+        return node
+    e = pol(s)
+    if e is None:
+        if probeable_edges(inst, s):
+            raise ValueError("policy stopped while edges were probeable")
+        node = TreeNode(state=s)
+    else:
         u, v, p = inst.edges[e]
-        left = build(apply_success(inst, s, e))
-        right = build(apply_failure(inst, s, e))
-        return TreeNode(state=s, edge=e, u=u, v=v, p=p, left=left, right=right)
-
-    return build(initial_state(inst))
+        left = _build(inst, pol, apply_success(inst, s, e), nodes)
+        right = _build(inst, pol, apply_failure(inst, s, e), nodes)
+        node = TreeNode(state=s, edge=e, u=u, v=v, p=p, left=left, right=right)
+    nodes[key] = node
+    return node
 
 
 def tree_value(t):

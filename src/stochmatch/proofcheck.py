@@ -317,7 +317,6 @@ def check_chain(inst, instance_id="", force=False):
     # states bound them from above.  The root solve left both in the memo.
     opt_left = state_value(inst, apply_success(inst, opt_tree.state, ab), memo)
     opt_right = state_value(inst, apply_failure(inst, opt_tree.state, ab), memo)
-    memo.clear()  # build_tree's recursive closure keeps it alive until a gc pass
 
     # Greedy recursion identity used by the final step of the chain.
     e_left_grd = subtree_value(grd_tree.left)

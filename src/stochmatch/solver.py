@@ -7,7 +7,6 @@ Argmax ties break by ascending edge index under exact float comparison.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 from .core import initial_state
@@ -16,75 +15,118 @@ from .policy import subtree_value
 LEMMA_TOL = 1e-9
 
 
-def _solve(inst, alive, patience, memo):
-    """Value and best edge for a raw (alive mask, patience tuple) state."""
-    key = (alive, patience)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    edges = inst.edges
+def _kernel(inst):
+    """The packed state key of an instance and its per-edge transition data.
+
+    A key is one int: the alive-edge bits are its low m bits, and above them
+    sits one w-bit patience field per vertex, w = max(patience).bit_length().
+    Returns (pack, alive mask, edges); pack maps a State to its key, and
+    edges[e] is (field of u, field of v, success mask, failure decrement, p,
+    1 - p), so a success child is key & keep and a failure child key - dec.
+    """
+    m, n = inst.m, inst.n
+    w = max(inst.patience, default=0).bit_length()
+    unit = [1 << (m + w * v) for v in range(n)]
+    fields = [((1 << w) - 1) * b for b in unit]
+    inc = inst.incidence
+    edges = [
+        (
+            fields[u],
+            fields[v],
+            ~(inc[u] | inc[v] | fields[u] | fields[v]),
+            (1 << e) + unit[u] + unit[v],
+            p,
+            1.0 - p,
+        )
+        for e, (u, v, p) in enumerate(inst.edges)
+    ]
+    mask = (1 << m) - 1
+    limit = 1 << w
+
+    def pack(s):
+        if s.alive >> m or len(s.patience_left) != n:
+            raise ValueError("state does not fit this instance")
+        key = 0
+        for t in reversed(s.patience_left):
+            if not 0 <= t < limit:
+                raise ValueError("state does not fit this instance")
+            key = (key << w) | t
+        return (key << m) | s.alive
+
+    return pack, mask, edges
+
+
+def _solve(key, mask, edges, memo):
+    """(value, best edge or None) of a packed state not yet in memo.
+
+    Alive edges are tried in ascending index order and only a strictly larger
+    value replaces the best, so argmax ties break by lowest index.
+    """
     best_val = 0.0
     best_edge = None
-    for e in range(len(edges)):
-        if not (alive >> e) & 1:
+    alive = key & mask
+    while alive:
+        low = alive & -alive
+        alive ^= low
+        e = low.bit_length() - 1
+        fu, fv, keep, dec, p, q = edges[e]
+        if not (key & fu and key & fv):
             continue
-        u, v, p = edges[e]
-        if patience[u] <= 0 or patience[v] <= 0:
-            continue
-        succ_alive = alive & ~(inst.incidence[u] | inst.incidence[v])
-        succ_pat = list(patience)
-        succ_pat[u] = 0
-        succ_pat[v] = 0
-        fail_pat = list(patience)
-        fail_pat[u] -= 1
-        fail_pat[v] -= 1
-        val = p * (
-            1.0 + _solve(inst, succ_alive, tuple(succ_pat), memo)[0]
-        ) + (1.0 - p) * _solve(inst, alive & ~(1 << e), tuple(fail_pat), memo)[0]
+        succ = key & keep
+        fail = key - dec
+        vs = (memo.get(succ) or _solve(succ, mask, edges, memo))[0]
+        vf = (memo.get(fail) or _solve(fail, mask, edges, memo))[0]
+        val = p * (1.0 + vs) + q * vf
         if val > best_val:
             best_val = val
             best_edge = e
-    memo[key] = (best_val, best_edge)
-    return memo[key]
+    entry = memo[key] = (best_val, best_edge)
+    return entry
 
 
 def optimal_value(inst, force=False):
     """Optimal expected matched count and the memo of solved states.
 
-    The memo maps state_key bytes to (value, best edge or None).
+    The memo maps packed int state keys (see _kernel) to (value, best edge
+    or None); state_value and optimal_policy key a shared memo the same way.
     """
     inst.check_caps(force)
     memo = {}
-    s0 = initial_state(inst)
-    value, _ = _solve(inst, s0.alive, s0.patience_left, memo)
-    by_key = {
-        state_key_raw(alive, pat): entry for (alive, pat), entry in memo.items()
-    }
-    return value, by_key
-
-
-def state_key_raw(alive, patience):
-    return struct.pack("<I", alive) + bytes(patience)
+    pack, mask, edges = _kernel(inst)
+    value, _ = _solve(pack(initial_state(inst)), mask, edges, memo)
+    return value, memo
 
 
 def state_value(inst, s, memo=None):
     """Optimal value of an arbitrary state (lazy; shares memo if given)."""
     if memo is None:
         memo = {}
-    return _solve(inst, s.alive, s.patience_left, memo)[0]
+    pack, mask, edges = _kernel(inst)
+    key = pack(s)
+    return (memo.get(key) or _solve(key, mask, edges, memo))[0]
 
 
 def optimal_policy(inst, force=False, memo=None):
     """Deterministic policy reading argmax choices from the DP, lazily.
 
     States never reached during the initial solve are solved on demand, so
-    the policy is optimal on every state, reachable or not.  It fills memo if given.
+    the policy is optimal on every state, reachable or not.  It fills memo if
+    given.  Decisions already made are kept per policy under the State's own
+    fields, so a repeated decision costs one dict read and no packing.
     """
     inst.check_caps(force)
     memo = {} if memo is None else memo
+    pack, mask, edges = _kernel(inst)
+    decided = {}
 
     def choose(s):
-        return _solve(inst, s.alive, s.patience_left, memo)[1]
+        state = (s.alive, s.patience_left)
+        try:
+            return decided[state]
+        except KeyError:
+            key = pack(s)
+            e = decided[state] = (memo.get(key) or _solve(key, mask, edges, memo))[1]
+            return e
 
     return choose
 

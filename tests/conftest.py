@@ -39,6 +39,18 @@ def disjoint_pair():
     return Instance(n=4, edges=((0, 1, 0.9), (2, 3, 0.8)), patience=(1, 1, 1, 1))
 
 
+@pytest.fixture
+def disjoint16():
+    # 16 disjoint edges at p = 0.5 with patience 1: success and failure of a
+    # probe reach the same state, so 17 distinct states span 2^16 paths.
+    k = 16
+    return Instance(
+        n=2 * k,
+        edges=tuple((2 * i, 2 * i + 1, 0.5) for i in range(k)),
+        patience=(1,) * (2 * k),
+    )
+
+
 def random_instances(seed, count, n_max=6, m_max=8, t_max=3):
     """Seeded stream of small instances, filtered to at most m_max edges."""
     rng = random.Random(seed)

@@ -58,6 +58,11 @@ class TestRatio:
         assert main(["ratio", "--instance", write(DISJOINT)]) == 0
         assert "ratio 1.000000000000" in capsys.readouterr().out
 
+    def test_patience_beyond_a_byte(self, write, capsys):
+        path = write("stochmatch 1\n2 1\n300 1\n0 1 0.5\n")
+        assert main(["ratio", "--instance", path, "--force"]) == 0
+        assert "opt 0.500000000000" in capsys.readouterr().out
+
 
 class TestCheck:
     def test_p4_passes(self, write, capsys):
@@ -68,6 +73,12 @@ class TestCheck:
 
     def test_single_edge_passes(self, write, capsys):
         assert main(["check", "--instance", write(SINGLE)]) == 0
+
+    def test_edgeless_instance_exit_2(self, write, capsys):
+        assert main(["check", "--instance", write(EMPTY)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestScan:
@@ -129,6 +140,9 @@ class TestArgumentValidation:
             ["scan", "--tmax", "0"],
             ["scan", "--count", "-3"],
             ["scan", "--count", "many"],
+            ["scan", "--density", "0"],
+            ["scan", "--density", "1.5"],
+            ["scan", "--density", "nan"],
         ],
     )
     def test_bad_value_exit_2(self, argv, write, tmp_path, capsys):

@@ -63,3 +63,7 @@ def test_invalid_specs_rejected():
         GeneratorSpec(n=1)
     with pytest.raises(ValueError):
         GeneratorSpec(t_max=0)
+    for density in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            GeneratorSpec(density=density)
+    assert GeneratorSpec(density=1.0).density == 1.0

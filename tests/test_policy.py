@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from conftest import arbitrary_policy, random_instances
@@ -11,6 +14,7 @@ from stochmatch.policy import (
     policy_value,
     tree_value,
 )
+from stochmatch.solver import optimal_policy
 
 
 class TestGreedy:
@@ -78,6 +82,46 @@ class TestBuildTree:
             walk(node.right)
 
         walk(build_tree(p4, greedy_policy(p4)))
+
+
+def _distinct_nodes(t):
+    seen = {}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if not node.is_leaf:
+                stack.extend((node.left, node.right))
+    return seen
+
+
+class TestSharedSubtrees:
+    def test_disjoint_greedy_tree_has_one_node_per_state(self, disjoint16):
+        t = build_tree(disjoint16, greedy_policy(disjoint16))
+        assert len(_distinct_nodes(t)) == 17
+        assert tree_value(t) == 8.0
+        assert sum(leaf_probabilities(t)) == 1.0
+
+    def test_equal_states_share_a_node(self):
+        for inst in random_instances(seed=14, count=20):
+            nodes = _distinct_nodes(build_tree(inst, greedy_policy(inst))).values()
+            assert len({node.state for node in nodes}) == len(nodes)
+
+    @pytest.mark.parametrize("factory", [greedy_policy, optimal_policy])
+    def test_policy_freed_without_gc(self, p4, factory):
+        pol = factory(p4)
+        ref = weakref.ref(pol)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            t = build_tree(p4, pol)
+            del pol
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert tree_value(t) > 0.0
 
 
 class TestValues:

@@ -2,13 +2,14 @@ import pytest
 
 from conftest import arbitrary_policy, brute_force_optimal, random_instances
 
-from stochmatch.core import Instance, initial_state, state_key
+from stochmatch.core import Instance, State, initial_state
 from stochmatch.policy import build_tree, greedy_policy, policy_value
 from stochmatch.solver import (
     check_lemma31,
     check_subtree_optimality,
     optimal_policy,
     optimal_value,
+    state_value,
 )
 
 
@@ -35,15 +36,52 @@ class TestOptimalValue:
 
     def test_memo_entries(self, p4):
         value, memo = optimal_value(p4)
-        root = memo[state_key(initial_state(p4))]
-        assert root[0] == value
-        assert root[1] == 0  # ab, by index tie-break against cd
+        size = len(memo)
+        root = initial_state(p4)
+        assert state_value(p4, root, memo) == value
+        assert optimal_policy(p4, memo=memo)(root) == 0  # ab, by index tie-break against cd
+        assert len(memo) == size  # both read the root solve's entries
 
     def test_deterministic_rerun(self, p4):
         v1, m1 = optimal_value(p4)
         v2, m2 = optimal_value(p4)
         assert v1 == v2
         assert m1 == m2
+
+
+class TestPackedKey:
+    def test_patience_beyond_a_byte(self):
+        inst = Instance(n=2, edges=((0, 1, 0.5),), patience=(300, 1))
+        value, memo = optimal_value(inst, force=True)
+        assert value == 0.5
+        assert len(memo) == 3  # root, success and failure
+
+    def test_more_than_32_edges(self):
+        # A star whose center has patience 1: one probe ends every path.
+        k = 40
+        inst = Instance(
+            n=k + 1,
+            edges=tuple((0, i, 0.9 if i == k else 0.5) for i in range(1, k + 1)),
+            patience=(1,) * (k + 1),
+        )
+        value, memo = optimal_value(inst, force=True)
+        assert value == 0.9
+        assert len(memo) == 2 * k + 1  # the root and one success and one failure state per edge
+        assert optimal_policy(inst, force=True, memo=memo)(initial_state(inst)) == k - 1
+
+    def test_disjoint_tie_break_exact(self, disjoint16):
+        value, memo = optimal_value(disjoint16)
+        assert value == 8.0
+        assert len(memo) == 2**16
+        assert optimal_policy(disjoint16, memo=memo)(initial_state(disjoint16)) == 0
+
+    def test_state_outside_instance_rejected(self, p4):
+        with pytest.raises(ValueError):
+            state_value(p4, State(alive=1 << p4.m, patience_left=p4.patience))
+        with pytest.raises(ValueError):
+            state_value(p4, State(alive=0, patience_left=(8, 2, 2, 2)))
+        with pytest.raises(ValueError):
+            state_value(p4, State(alive=0, patience_left=(2, 2, 2)))
 
 
 class TestOptimalPolicy:
