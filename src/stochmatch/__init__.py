@@ -12,7 +12,6 @@ from .core import (
     initial_state,
     parse_instance,
     probeable_edges,
-    state_key,
 )
 from .generator import GeneratorSpec, generate_instances
 from .montecarlo import SimResult, simulate
@@ -56,6 +55,5 @@ __all__ = [
     "policy_value",
     "probeable_edges",
     "simulate",
-    "state_key",
     "tree_value",
 ]

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 property violation (a checked relation failed),
-2 usage or parse error.
+2 usage or parse error, or an instance too large to evaluate.
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ def _policy_for(inst, name, force):
 
 def cmd_eval(args):
     inst = _load_instance(args.instance)
-    if inst.m == 0:
-        print(_fmt(0.0))
-        return 0
     pol = _policy_for(inst, args.policy, args.force)
     value = tree_value(build_tree(inst, pol, force=args.force))
     print(_fmt(value))
@@ -216,6 +213,9 @@ def main(argv=None):
         return args.func(args)
     except SizeCapError as exc:
         print(f"error: {exc} (use --force to override)", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: instance too large to evaluate ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

@@ -8,7 +8,6 @@ left.  All types are immutable values; transitions return new states.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 # Default size caps keeping exact tree/DP evaluation tractable.
@@ -126,6 +125,8 @@ def parse_instance(text):
     if n < 0 or m < 0:
         raise InstanceError("counts must be non-negative", line=lineno)
 
+    if len(lines) == 2 and n == 0:
+        lines.append((lineno, ""))  # a 0-vertex instance's patience line is blank
     if len(lines) < 3:
         raise InstanceError("missing patience line")
     lineno, pat_line = lines[2]
@@ -224,7 +225,3 @@ def apply_failure(inst, s, e):
     pat[v] -= 1
     return State(alive=s.alive & ~(1 << e), patience_left=tuple(pat))
 
-
-def state_key(s):
-    """Fixed-width byte encoding of a state, injective per instance."""
-    return struct.pack("<I", s.alive) + bytes(s.patience_left)

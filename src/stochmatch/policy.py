@@ -4,7 +4,8 @@ A policy is a callable mapping a State to the edge index it probes next, or
 None to stop.  Stop is only legal (and mandatory) when no edge is probeable.
 Decision trees materialize a policy's full branching structure: left child is
 the successful probe, right child the failed one.  Equal states share one
-node, so a tree is a DAG whose paths are the policy's probe histories.
+node, so a tree is a DAG whose paths are the policy's probe histories.  Each
+node carries its subtree's value, computed once when the node is built.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from .core import (
     apply_failure,
     apply_success,
     initial_state,
+    is_probeable,
     probeable_edges,
-    state_key,
 )
 
 
@@ -26,6 +27,8 @@ class TreeNode:
 
     Internal nodes record the probed edge, its endpoints and success
     probability; left is the success branch, right the failure branch.
+    value is the subtree's expected matched count,
+    p * (1 + left.value) + (1 - p) * right.value, and 0 at a leaf.
     """
 
     state: object
@@ -35,6 +38,7 @@ class TreeNode:
     p: float = 0.0
     left: object = None
     right: object = None
+    value: float = 0.0
 
     @property
     def is_leaf(self):
@@ -46,9 +50,8 @@ def greedy_policy(inst):
     order = sorted(range(inst.m), key=lambda e: (-inst.edges[e][2], e))
 
     def choose(s):
-        probeable = set(probeable_edges(inst, s))
         for e in order:
-            if e in probeable:
+            if is_probeable(inst, s, e):
                 return e
         return None
 
@@ -92,60 +95,25 @@ def _build(inst, pol, s, nodes):
         u, v, p = inst.edges[e]
         left = _build(inst, pol, apply_success(inst, s, e), nodes)
         right = _build(inst, pol, apply_failure(inst, s, e), nodes)
-        node = TreeNode(state=s, edge=e, u=u, v=v, p=p, left=left, right=right)
+        value = p * (1.0 + left.value) + (1.0 - p) * right.value
+        node = TreeNode(state=s, edge=e, u=u, v=v, p=p, left=left, right=right, value=value)
     nodes[key] = node
     return node
 
 
 def tree_value(t):
-    """Expected matched count: sum of reach probability times p over nodes."""
-    total = 0.0
-    stack = [(t, 1.0)]
-    while stack:
-        node, q = stack.pop()
-        if node.is_leaf:
-            continue
-        total += q * node.p
-        stack.append((node.left, q * node.p))
-        stack.append((node.right, q * (1.0 - node.p)))
-    return total
+    """Expected matched count of the tree: its root's value."""
+    return t.value
 
 
 def subtree_value(t):
     """Expected matched count of the subtree rooted at t."""
-    if t.is_leaf:
-        return 0.0
-    return t.p * (1.0 + subtree_value(t.left)) + (1.0 - t.p) * subtree_value(t.right)
+    return t.value
 
 
 def policy_value(inst, pol, force=False):
-    """Expected matched count by direct recursion with state memoization.
-
-    Valid for policies that are functions of the State alone; agrees with
-    tree_value(build_tree(inst, pol)) to within floating-point roundoff.
-    """
-    inst.check_caps(force)
-    memo = {}
-
-    def value(s):
-        key = state_key(s)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        e = pol(s)
-        if e is None:
-            if probeable_edges(inst, s):
-                raise ValueError("policy stopped while edges were probeable")
-            result = 0.0
-        else:
-            p = inst.edges[e][2]
-            result = p * (1.0 + value(apply_success(inst, s, e))) + (1.0 - p) * value(
-                apply_failure(inst, s, e)
-            )
-        memo[key] = result
-        return result
-
-    return value(initial_state(inst))
+    """Expected matched count of a policy that is a function of the State."""
+    return build_tree(inst, pol, force).value
 
 
 def leaf_probabilities(t):

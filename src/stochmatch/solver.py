@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import initial_state
-from .policy import subtree_value
 
 LEMMA_TOL = 1e-9
 
@@ -144,25 +143,32 @@ class LemmaReport:
         return not self.violations
 
 
-def check_lemma31(t):
-    """Check E T(v) <= E L(v) + 1 at every internal node of an optimal tree."""
-    report = LemmaReport()
+def _first_paths(t):
+    """Each distinct node of a tree once, with its first path (L before R)."""
+    seen = set()
+    stack = [(t, "")]
+    while stack:
+        node, path = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node, path
+        if not node.is_leaf:
+            stack.append((node.right, path + "R"))
+            stack.append((node.left, path + "L"))
 
-    def walk(node, path):
+
+def check_lemma31(t):
+    """Check E T(v) <= E L(v) + 1 at each distinct internal node of an optimal tree."""
+    report = LemmaReport()
+    for node, path in _first_paths(t):
         if node.is_leaf:
-            return 0.0
-        lval = walk(node.left, path + "L")
-        rval = walk(node.right, path + "R")
-        val = node.p * (1.0 + lval) + (1.0 - node.p) * rval
-        margin = val - lval
+            continue
+        margin = node.value - node.left.value
         report.nodes_checked += 1
-        if margin > report.max_margin:
-            report.max_margin = margin
+        report.max_margin = max(report.max_margin, margin)
         if margin > 1.0 + LEMMA_TOL:
             report.violations.append((path, margin))
-        return val
-
-    walk(t, "")
     return report
 
 
@@ -180,22 +186,14 @@ class OptimalityReport:
 
 
 def check_subtree_optimality(inst, t):
-    """Check that every subtree's value matches the optimum of its state."""
+    """Check that each distinct subtree's value matches the optimum of its state."""
     report = OptimalityReport()
     memo = {}
-
-    def walk(node, path):
-        val = subtree_value(node)
+    for node, path in _first_paths(t):
         opt = state_value(inst, node.state, memo)
-        gap = opt - val
+        gap = abs(opt - node.value)
         report.nodes_checked += 1
-        if abs(gap) > report.max_gap:
-            report.max_gap = abs(gap)
-        if abs(gap) > LEMMA_TOL:
-            report.violations.append((path, val, opt))
-        if not node.is_leaf:
-            walk(node.left, path + "L")
-            walk(node.right, path + "R")
-
-    walk(t, "")
+        report.max_gap = max(report.max_gap, gap)
+        if gap > LEMMA_TOL:
+            report.violations.append((path, node.value, opt))
     return report

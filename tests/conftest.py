@@ -1,10 +1,11 @@
 import random
+import struct
 import zlib
 
 import pytest
 
 from stochmatch import Instance
-from stochmatch.core import probeable_edges, state_key
+from stochmatch.core import probeable_edges
 from stochmatch.generator import GeneratorSpec, generate_instance
 
 
@@ -78,10 +79,27 @@ def arbitrary_policy(inst, salt):
         probeable = probeable_edges(inst, s)
         if not probeable:
             return None
-        h = zlib.crc32(state_key(s)) ^ salt
+        h = zlib.crc32(struct.pack("<I", s.alive) + bytes(s.patience_left)) ^ salt
         return probeable[h % len(probeable)]
 
     return choose
+
+
+def path_sum_value(t):
+    """Independent tree-value oracle: reach probability times p, summed over
+    every internal node of every path.  Shares no summation order with the
+    node values that build_tree computes bottom-up.
+    """
+    total = 0.0
+    stack = [(t, 1.0)]
+    while stack:
+        node, q = stack.pop()
+        if node.is_leaf:
+            continue
+        total += q * node.p
+        stack.append((node.left, q * node.p))
+        stack.append((node.right, q * (1.0 - node.p)))
+    return total
 
 
 def brute_force_optimal(edges, patience):

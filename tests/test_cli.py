@@ -1,11 +1,16 @@
 import pytest
 
+from stochmatch import cli
 from stochmatch.cli import main
 
 SINGLE = "stochmatch 1\n2 1\n1 1\n0 1 0.7\n"
 EMPTY = "stochmatch 1\n3 0\n1 1 1\n"
 P4 = "stochmatch 1\n4 3\n2 2 2 2\n0 1 0.5\n1 2 0.51\n2 3 0.5\n"
 DISJOINT = "stochmatch 1\n4 2\n1 1 1 1\n0 1 0.9\n2 3 0.8\n"
+# 1,000 disjoint edges: 1,001 states, but every evaluator recurses 1,000 deep.
+DEEP = "stochmatch 1\n2000 1000\n" + " ".join(["1"] * 2000) + "\n" + "".join(
+    f"{2 * i} {2 * i + 1} 0.5\n" for i in range(1000)
+)
 
 
 @pytest.fixture
@@ -79,6 +84,23 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class TestTooLarge:
+    @pytest.mark.parametrize("argv", [["ratio"], ["eval"], ["check"]])
+    def test_deep_instance_exit_2(self, argv, write, capsys):
+        assert main(argv + ["--force", "--instance", write(DEEP)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_out_of_memory_exit_2(self, write, capsys, monkeypatch):
+        def exhausted(inst, force=False):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "optimal_value", exhausted)
+        assert main(["ratio", "--instance", write(P4)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestScan:

@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from conftest import arbitrary_policy, random_instances
+from conftest import arbitrary_policy, path_sum_value, random_instances
 
 from stochmatch.core import Instance, apply_failure, initial_state
 from stochmatch.policy import (
@@ -14,7 +14,7 @@ from stochmatch.policy import (
     policy_value,
     tree_value,
 )
-from stochmatch.solver import optimal_policy
+from stochmatch.solver import optimal_policy, optimal_value
 
 
 class TestGreedy:
@@ -145,6 +145,20 @@ class TestValues:
         inst = Instance(n=3, edges=((0, 1, 0.9), (1, 2, 0.8)), patience=(2, 2, 2))
         assert policy_value(inst, greedy_policy(inst)) == pytest.approx(0.98, abs=1e-12)
 
+    def test_patience_beyond_a_byte(self):
+        inst = Instance(n=2, edges=((0, 1, 0.5),), patience=(300, 1))
+        assert policy_value(inst, greedy_policy(inst), force=True) == 0.5
+
+    def test_more_than_32_edges(self):
+        # A star whose center has patience 1: greedy's one probe ends every path.
+        k = 40
+        inst = Instance(
+            n=k + 1,
+            edges=tuple((0, i, 0.9 if i == k else 0.5) for i in range(1, k + 1)),
+            patience=(1,) * (k + 1),
+        )
+        assert policy_value(inst, greedy_policy(inst), force=True) == 0.9
+
 
 class TestProperties:
     def test_leaf_probabilities_sum_to_one(self):
@@ -155,9 +169,15 @@ class TestProperties:
     def test_tree_value_matches_policy_value(self):
         for i, inst in enumerate(random_instances(seed=12, count=25)):
             for pol in (greedy_policy(inst), arbitrary_policy(inst, i), arbitrary_policy(inst, 1000 + i), arbitrary_policy(inst, 2000 + i), arbitrary_policy(inst, 3000 + i)):
-                tv = tree_value(build_tree(inst, pol))
-                pv = policy_value(inst, pol)
-                assert abs(tv - pv) <= 1e-12
+                t = build_tree(inst, pol)
+                assert abs(tree_value(t) - path_sum_value(t)) <= 1e-12
+                assert policy_value(inst, pol) == tree_value(t)
+
+    def test_optimal_tree_value_is_dp_value(self):
+        # The tree's bottom-up value repeats the DP's float expression.
+        for inst in random_instances(seed=15, count=200):
+            t = build_tree(inst, optimal_policy(inst))
+            assert tree_value(t) == optimal_value(inst)[0]
 
     def test_certain_probes_realize_greedy_matching(self):
         # With p = 1 everywhere, every probe succeeds and greedy's value is

@@ -139,6 +139,12 @@ class TestLemma31:
             t = build_tree(inst, optimal_policy(inst))
             assert check_lemma31(t).ok
 
+    def test_each_shared_node_checked_once(self, disjoint16):
+        # 16 internal nodes and one leaf, though the tree has 2^16 - 1 internal path nodes.
+        report = check_lemma31(build_tree(disjoint16, greedy_policy(disjoint16)))
+        assert report.nodes_checked == 16
+        assert report.max_margin == 0.5
+
 
 class TestSubtreeOptimality:
     def test_single_edge(self, single_edge):
@@ -156,3 +162,15 @@ class TestSubtreeOptimality:
         for inst in random_instances(seed=26, count=25):
             t = build_tree(inst, optimal_policy(inst))
             assert check_subtree_optimality(inst, t).ok
+
+    def test_each_shared_node_checked_once(self, disjoint16):
+        report = check_subtree_optimality(disjoint16, build_tree(disjoint16, greedy_policy(disjoint16)))
+        assert report.nodes_checked == 17
+        assert report.ok
+
+    def test_shared_node_reported_at_first_path(self, p4):
+        # Greedy probes edge 45 first, and either outcome leaves the same P4
+        # state, so greedy's suboptimal P4 subtree is one node on paths L and R.
+        inst = Instance(n=6, edges=p4.edges + ((4, 5, 0.9),), patience=p4.patience + (1, 1))
+        report = check_subtree_optimality(inst, build_tree(inst, greedy_policy(inst)))
+        assert [path for path, _, _ in report.violations] == ["", "L"]
