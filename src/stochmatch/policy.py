@@ -115,16 +115,3 @@ def policy_value(inst, pol, force=False):
     """Expected matched count of a policy that is a function of the State."""
     return build_tree(inst, pol, force).value
 
-
-def leaf_probabilities(t):
-    """Reach probabilities of all leaves; sums to 1 for a well-formed tree."""
-    out = []
-    stack = [(t, 1.0)]
-    while stack:
-        node, q = stack.pop()
-        if node.is_leaf:
-            out.append(q)
-        else:
-            stack.append((node.left, q * node.p))
-            stack.append((node.right, q * (1.0 - node.p)))
-    return out

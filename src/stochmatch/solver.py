@@ -3,6 +3,10 @@
 The value recursion: V(s) = 0 if no edge is probeable, otherwise the max over
 probeable edges e of p_e * (1 + V(success)) + (1 - p_e) * V(failure).
 Argmax ties break by ascending edge index under exact float comparison.
+
+The memo is keyed by canonical packed states: a key never has an alive edge
+at a vertex whose patience is exhausted, so alive and probeable coincide, and
+two states that differ only in such dead edges are solved once.
 """
 
 from __future__ import annotations
@@ -19,9 +23,13 @@ def _kernel(inst):
 
     A key is one int: the alive-edge bits are its low m bits, and above them
     sits one w-bit patience field per vertex, w = max(patience).bit_length().
-    Returns (pack, alive mask, edges); pack maps a State to its key, and
-    edges[e] is (field of u, field of v, success mask, failure decrement, p,
-    1 - p), so a success child is key & keep and a failure child key - dec.
+    Keys are canonical: no key has an alive edge at a vertex whose field is 0,
+    so an alive edge is a probeable one, and states with the same future share
+    one key.  Returns (pack, alive mask, edges); pack maps a State to its key,
+    clearing the edges of its exhausted vertices, and edges[e] is (field of u,
+    field of v, u's other edges, v's other edges, success mask, failure
+    decrement, p, 1 - p).  A success child is key & keep; a failure child is
+    key - dec, less the other edges of an endpoint whose field reaches 0.
     """
     m, n = inst.m, inst.n
     w = max(inst.patience, default=0).bit_length()
@@ -32,6 +40,8 @@ def _kernel(inst):
         (
             fields[u],
             fields[v],
+            inc[u] & ~(1 << e),
+            inc[v] & ~(1 << e),
             ~(inc[u] | inc[v] | fields[u] | fields[v]),
             (1 << e) + unit[u] + unit[v],
             p,
@@ -46,20 +56,26 @@ def _kernel(inst):
         if s.alive >> m or len(s.patience_left) != n:
             raise ValueError("state does not fit this instance")
         key = 0
-        for t in reversed(s.patience_left):
+        alive = s.alive
+        for v in reversed(range(n)):
+            t = s.patience_left[v]
             if not 0 <= t < limit:
                 raise ValueError("state does not fit this instance")
+            if not t:
+                alive &= ~inc[v]
             key = (key << w) | t
-        return (key << m) | s.alive
+        return (key << m) | alive
 
     return pack, mask, edges
 
 
 def _solve(key, mask, edges, memo):
-    """(value, best edge or None) of a packed state not yet in memo.
+    """(value, best edge or None) of a canonical packed state not yet in memo.
 
-    Alive edges are tried in ascending index order and only a strictly larger
-    value replaces the best, so argmax ties break by lowest index.
+    Every alive edge of a canonical key is probeable, and both children are
+    canonical again.  Alive edges are tried in ascending index order and only
+    a strictly larger value replaces the best, so argmax ties break by lowest
+    index.
     """
     best_val = 0.0
     best_edge = None
@@ -68,11 +84,13 @@ def _solve(key, mask, edges, memo):
         low = alive & -alive
         alive ^= low
         e = low.bit_length() - 1
-        fu, fv, keep, dec, p, q = edges[e]
-        if not (key & fu and key & fv):
-            continue
+        fu, fv, ou, ov, keep, dec, p, q = edges[e]
         succ = key & keep
         fail = key - dec
+        if fail & ou and not fail & fu:
+            fail -= fail & ou
+        if fail & ov and not fail & fv:
+            fail -= fail & ov
         vs = (memo.get(succ) or _solve(succ, mask, edges, memo))[0]
         vf = (memo.get(fail) or _solve(fail, mask, edges, memo))[0]
         val = p * (1.0 + vs) + q * vf

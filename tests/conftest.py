@@ -5,7 +5,7 @@ import zlib
 import pytest
 
 from stochmatch import Instance
-from stochmatch.core import probeable_edges
+from stochmatch.core import apply_failure, apply_success, initial_state, probeable_edges
 from stochmatch.generator import GeneratorSpec, generate_instance
 
 
@@ -100,6 +100,53 @@ def path_sum_value(t):
         stack.append((node.left, q * node.p))
         stack.append((node.right, q * (1.0 - node.p)))
     return total
+
+
+def leaf_probabilities(t):
+    """Reach probabilities of every leaf path; sums to 1 for a well-formed tree.
+
+    Lists one entry per path, not per distinct node, so it is exponential on
+    shared trees; an oracle for tests only.
+    """
+    out = []
+    stack = [(t, 1.0)]
+    while stack:
+        node, q = stack.pop()
+        if node.is_leaf:
+            out.append(q)
+        else:
+            stack.append((node.left, q * node.p))
+            stack.append((node.right, q * (1.0 - node.p)))
+    return out
+
+
+def reference_dp(inst):
+    """Raw-state DP oracle: (value, best edge or None) of every State reachable
+    from the initial state under any policy.
+
+    Keys are core.State values and children come from apply_success and
+    apply_failure, so no packing or canonical form is shared with the solver.
+    Edges are tried in ascending order and the first maximum wins a tie; the
+    value is the solver's float expression, so the two agree exactly.
+    """
+    table = {}
+
+    def solve(s):
+        entry = table.get(s)
+        if entry is None:
+            best_val, best_edge = 0.0, None
+            for e in probeable_edges(inst, s):
+                p = inst.edges[e][2]
+                vs = solve(apply_success(inst, s, e))[0]
+                vf = solve(apply_failure(inst, s, e))[0]
+                val = p * (1.0 + vs) + (1.0 - p) * vf
+                if val > best_val:
+                    best_val, best_edge = val, e
+            entry = table[s] = (best_val, best_edge)
+        return entry
+
+    solve(initial_state(inst))
+    return table
 
 
 def brute_force_optimal(edges, patience):

@@ -3,14 +3,13 @@ import weakref
 
 import pytest
 
-from conftest import arbitrary_policy, path_sum_value, random_instances
+from conftest import arbitrary_policy, leaf_probabilities, path_sum_value, random_instances
 
 from stochmatch.core import Instance, apply_failure, initial_state
 from stochmatch.policy import (
     build_tree,
     greedy_first_edge,
     greedy_policy,
-    leaf_probabilities,
     policy_value,
     tree_value,
 )

@@ -1,8 +1,9 @@
 import pytest
 
-from conftest import arbitrary_policy, brute_force_optimal, random_instances
+from conftest import arbitrary_policy, brute_force_optimal, random_instances, reference_dp
 
 from stochmatch.core import Instance, State, initial_state
+from stochmatch.generator import GeneratorSpec, generate_instances
 from stochmatch.policy import build_tree, greedy_policy, policy_value
 from stochmatch.solver import (
     check_lemma31,
@@ -66,7 +67,9 @@ class TestPackedKey:
         )
         value, memo = optimal_value(inst, force=True)
         assert value == 0.9
-        assert len(memo) == 2 * k + 1  # the root and one success and one failure state per edge
+        # The root and one state per edge: either outcome exhausts the center
+        # and the leaf and leaves no alive edge, so both children share a key.
+        assert len(memo) == k + 1
         assert optimal_policy(inst, force=True, memo=memo)(initial_state(inst)) == k - 1
 
     def test_disjoint_tie_break_exact(self, disjoint16):
@@ -82,6 +85,59 @@ class TestPackedKey:
             state_value(p4, State(alive=0, patience_left=(8, 2, 2, 2)))
         with pytest.raises(ValueError):
             state_value(p4, State(alive=0, patience_left=(2, 2, 2)))
+
+
+def _unpack(inst, key):
+    """(alive mask, patience per vertex) of a packed key, in _kernel's layout."""
+    m = inst.m
+    w = max(inst.patience).bit_length()
+    return key & ((1 << m) - 1), [(key >> (m + w * v)) & ((1 << w) - 1) for v in range(inst.n)]
+
+
+class TestCanonicalStates:
+    def _check_against_reference(self, inst):
+        _, memo = optimal_value(inst, force=True)
+        size = len(memo)
+        pol = optimal_policy(inst, force=True, memo=memo)
+        for s, (value, edge) in reference_dp(inst).items():
+            assert state_value(inst, s, memo) == value
+            assert pol(s) == edge
+        assert len(memo) == size  # every reachable raw state's key was solved from the root
+        for key in memo:
+            alive, patience = _unpack(inst, key)
+            assert not any(alive & inst.incidence[v] for v in range(inst.n) if patience[v] == 0)
+
+    def test_random_instances_match_reference(self):
+        for inst in random_instances(seed=27, count=150):
+            self._check_against_reference(inst)
+
+    def test_patience_one_star(self):
+        k = 6
+        self._check_against_reference(
+            Instance(
+                n=k + 1,
+                edges=tuple((0, i, 0.1 * i) for i in range(1, k + 1)),
+                patience=(1,) * (k + 1),
+            )
+        )
+
+    def test_patience_above_degree(self):
+        self._check_against_reference(
+            Instance(
+                n=4,
+                edges=((0, 1, 0.3), (0, 2, 0.6), (1, 2, 0.5), (2, 3, 0.8)),
+                patience=(5, 4, 2, 6),
+            )
+        )
+
+    def test_solve_ladder_state_counts(self, disjoint16):
+        # The benchmark's solve ladder; its state counts do not depend on p.
+        ladder = [
+            generate_instances(GeneratorSpec(family=family, n=n, p_grid=False, t_max=3, seed=1), 1)[0]
+            for family, n in (("gnp", 8), ("complete", 7), ("path", 12))
+        ]
+        counts = [len(optimal_value(inst)[1]) for inst in ladder + [disjoint16]]
+        assert counts == [17_110, 4_979, 10_836, 65_536]
 
 
 class TestOptimalPolicy:
