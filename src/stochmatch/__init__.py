@@ -5,11 +5,11 @@ from .core import (
     Instance,
     InstanceError,
     SizeCapError,
-    State,
     apply_failure,
     apply_success,
     format_instance,
     initial_state,
+    kernel,
     parse_instance,
     probeable_edges,
 )
@@ -37,7 +37,6 @@ __all__ = [
     "InstanceError",
     "SimResult",
     "SizeCapError",
-    "State",
     "apply_failure",
     "apply_success",
     "build_tree",
@@ -49,6 +48,7 @@ __all__ = [
     "greedy_first_edge",
     "greedy_policy",
     "initial_state",
+    "kernel",
     "optimal_policy",
     "optimal_value",
     "parse_instance",

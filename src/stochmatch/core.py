@@ -1,14 +1,16 @@
 """Instances of the stochastic matching model and probe-state transitions.
 
 An instance is an undirected graph with a success probability on every edge
-and a patience number on every vertex.  A state tracks which edges are still
-alive (as a bitmask over edge indices) and how much patience each vertex has
-left.  All types are immutable values; transitions return new states.
+and a patience number on every vertex.  A state is one int, its canonical
+packed key: which edges are still alive and how much patience each vertex
+has left.  This module alone knows the key's layout; transitions map a key
+to a child key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 # Default size caps keeping exact tree/DP evaluation tractable.
 MAX_EDGES = 24
@@ -41,7 +43,6 @@ class Instance:
     n: int
     edges: tuple  # tuple of (u, v, p) with u < v
     patience: tuple  # length n, each >= 1
-    incidence: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -52,19 +53,14 @@ class Instance:
         for i, (u, v, p) in enumerate(self.edges):
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge {i}: endpoints must satisfy 0 <= u < v < n")
-            if not (0.0 < p <= 1.0):
-                raise ValueError(f"edge {i}: probability must be in (0, 1]")
+            if not (sys.float_info.min <= p <= 1.0):
+                raise ValueError(f"edge {i}: probability must be a normal float in (0, 1]")
             if (u, v) in seen:
                 raise ValueError(f"edge {i}: duplicate edge ({u}, {v})")
             seen.add((u, v))
         for v, t in enumerate(self.patience):
             if t < 1:
                 raise ValueError(f"vertex {v}: patience must be >= 1")
-        inc = [0] * self.n
-        for i, (u, v, _) in enumerate(self.edges):
-            inc[u] |= 1 << i
-            inc[v] |= 1 << i
-        object.__setattr__(self, "incidence", tuple(inc))
 
     @property
     def m(self):
@@ -80,14 +76,6 @@ class Instance:
             raise SizeCapError(
                 f"total patience {sum(self.patience)} exceeds cap of {MAX_TOTAL_PATIENCE}"
             )
-
-
-@dataclass(frozen=True)
-class State:
-    """Alive-edge bitmask plus remaining patience per vertex."""
-
-    alive: int
-    patience_left: tuple
 
 
 def parse_instance(text):
@@ -163,8 +151,8 @@ def parse_instance(text):
             raise InstanceError(f"self-loop {u} {v}", line=lineno)
         if not (0 <= u < v < n):
             raise InstanceError(f"endpoints must satisfy 0 <= u < v < {n}", line=lineno)
-        if not (0.0 < p <= 1.0):
-            raise InstanceError(f"probability {p} outside (0, 1]", line=lineno)
+        if not (sys.float_info.min <= p <= 1.0):
+            raise InstanceError(f"probability {p} outside (0, 1] or subnormal", line=lineno)
         if (u, v) in seen:
             raise InstanceError(f"duplicate edge {u} {v}", line=lineno)
         seen.add((u, v))
@@ -182,46 +170,83 @@ def format_instance(inst):
     return "\n".join(out) + "\n"
 
 
-def initial_state(inst):
-    """State with all edges alive and full patience."""
-    return State(alive=(1 << inst.m) - 1, patience_left=inst.patience)
+def _width(inst):
+    """Bits in each vertex's patience field of a packed key."""
+    return max(inst.patience, default=0).bit_length()
 
 
-def is_probeable(inst, s, e):
-    u, v, _ = inst.edges[e]
-    return bool((s.alive >> e) & 1) and s.patience_left[u] > 0 and s.patience_left[v] > 0
+def kernel(inst):
+    """Per-edge transition rows of the instance's packed state keys.
 
-
-def probeable_edges(inst, s):
-    """Alive edges whose both endpoints still have patience, ascending index."""
-    alive = s.alive
-    pat = s.patience_left
+    A key is one int: the alive-edge bits are its low m bits, and above them
+    sits one w-bit patience field per vertex, w = max(patience).bit_length().
+    Keys are canonical: no key has an alive edge at a vertex whose field is 0,
+    so an alive edge is a probeable one, and states with the same future share
+    one key.  rows[e] is (field of u, field of v, u's other edges, v's other
+    edges, success mask, failure decrement, p, 1 - p).  A success child is
+    key & keep; a failure child is key - dec, less the other edges of an
+    endpoint whose field reaches 0.
+    """
+    m, w = inst.m, _width(inst)
+    unit = [1 << (m + w * v) for v in range(inst.n)]
+    fields = [((1 << w) - 1) * b for b in unit]
+    inc = [0] * inst.n
+    for e, (u, v, _) in enumerate(inst.edges):
+        inc[u] |= 1 << e
+        inc[v] |= 1 << e
     return [
-        e
-        for e, (u, v, _) in enumerate(inst.edges)
-        if (alive >> e) & 1 and pat[u] > 0 and pat[v] > 0
+        (
+            fields[u],
+            fields[v],
+            inc[u] & ~(1 << e),
+            inc[v] & ~(1 << e),
+            ~(inc[u] | inc[v] | fields[u] | fields[v]),
+            (1 << e) + unit[u] + unit[v],
+            p,
+            1.0 - p,
+        )
+        for e, (u, v, p) in enumerate(inst.edges)
     ]
 
 
-def apply_success(inst, s, e):
+def initial_state(inst):
+    """Key with all edges alive and full patience."""
+    m, w = inst.m, _width(inst)
+    return (1 << m) - 1 | sum(t << (m + w * v) for v, t in enumerate(inst.patience))
+
+
+def check_key(inst, key):
+    """Raise ValueError unless key is a canonical state key of the instance."""
+    m, w = inst.m, _width(inst)
+    if not 0 <= key < 1 << (m + w * inst.n):
+        raise ValueError("state key does not fit this instance")
+    full = (1 << w) - 1
+    for e in probeable_edges(inst, key):
+        u, v, _ = inst.edges[e]
+        if not (key >> (m + w * u) & full and key >> (m + w * v) & full):
+            raise ValueError(f"edge {e} is alive at a vertex with no patience left")
+
+
+def probeable_edges(inst, key):
+    """Alive edges of a canonical key, which are the probeable ones, ascending."""
+    return [e for e in range(inst.m) if key >> e & 1]
+
+
+def apply_success(rows, key, e):
     """Match edge e: drop both endpoints and every edge incident to them."""
-    if not is_probeable(inst, s, e):
-        raise ValueError(f"edge {e} is not probeable in this state")
-    u, v, _ = inst.edges[e]
-    alive = s.alive & ~(inst.incidence[u] | inst.incidence[v])
-    pat = list(s.patience_left)
-    pat[u] = 0
-    pat[v] = 0
-    return State(alive=alive, patience_left=tuple(pat))
+    if not key >> e & 1:
+        raise ValueError(f"edge {e} is not alive in this state")
+    return key & rows[e][4]
 
 
-def apply_failure(inst, s, e):
-    """Failed probe of e: drop e and decrement patience at both endpoints."""
-    if not is_probeable(inst, s, e):
-        raise ValueError(f"edge {e} is not probeable in this state")
-    u, v, _ = inst.edges[e]
-    pat = list(s.patience_left)
-    pat[u] -= 1
-    pat[v] -= 1
-    return State(alive=s.alive & ~(1 << e), patience_left=tuple(pat))
-
+def apply_failure(rows, key, e):
+    """Failed probe of e: drop e and one unit of patience at both endpoints."""
+    if not key >> e & 1:
+        raise ValueError(f"edge {e} is not alive in this state")
+    fu, fv, ou, ov, _, dec, _, _ = rows[e]
+    key -= dec
+    if key & ou and not key & fu:
+        key -= key & ou
+    if key & ov and not key & fv:
+        key -= key & ov
+    return key

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import apply_failure, apply_success, initial_state
+from .core import apply_failure, apply_success, initial_state, kernel
 
 _MASK64 = (1 << 64) - 1
 
@@ -50,14 +50,16 @@ def simulate(inst, pol, trials, seed):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = SplitMix64(seed)
+    rows = kernel(inst)
+    root = initial_state(inst)
     total = 0.0
     total_sq = 0.0
     for _ in range(trials):
-        s = initial_state(inst)
+        key = root
         matched_vertices = set()
         matched = 0
         while True:
-            e = pol(s)
+            e = pol(key)
             if e is None:
                 break
             u, v, p = inst.edges[e]
@@ -67,9 +69,9 @@ def simulate(inst, pol, trials, seed):
                 matched_vertices.add(u)
                 matched_vertices.add(v)
                 matched += 1
-                s = apply_success(inst, s, e)
+                key = apply_success(rows, key, e)
             else:
-                s = apply_failure(inst, s, e)
+                key = apply_failure(rows, key, e)
         total += matched
         total_sq += matched * matched
     mean = total / trials

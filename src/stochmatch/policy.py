@@ -1,7 +1,8 @@
 """Deterministic adaptive policies and exact decision-tree evaluation.
 
-A policy is a callable mapping a State to the edge index it probes next, or
-None to stop.  Stop is only legal (and mandatory) when no edge is probeable.
+A policy is a callable mapping a state key (see core.kernel) to the edge
+index it probes next, or None to stop.  Stop is only legal (and mandatory)
+when no edge is alive: every alive edge of a canonical key is probeable.
 Decision trees materialize a policy's full branching structure: left child is
 the successful probe, right child the failed one.  Equal states share one
 node, so a tree is a DAG whose paths are the policy's probe histories.  Each
@@ -12,13 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    apply_failure,
-    apply_success,
-    initial_state,
-    is_probeable,
-    probeable_edges,
-)
+from .core import apply_failure, apply_success, initial_state, kernel
 
 
 @dataclass(frozen=True)
@@ -31,7 +26,7 @@ class TreeNode:
     p * (1 + left.value) + (1 - p) * right.value, and 0 at a leaf.
     """
 
-    state: object
+    state: int  # the node's state key
     edge: object = None  # edge index, or None for a leaf
     u: int = -1
     v: int = -1
@@ -46,12 +41,12 @@ class TreeNode:
 
 
 def greedy_policy(inst):
-    """Probe the probeable edge with highest p, ties by lowest edge index."""
+    """Probe the alive edge with highest p, ties by lowest edge index."""
     order = sorted(range(inst.m), key=lambda e: (-inst.edges[e][2], e))
 
-    def choose(s):
+    def choose(key):
         for e in order:
-            if is_probeable(inst, s, e):
+            if key >> e & 1:
                 return e
         return None
 
@@ -68,35 +63,34 @@ def greedy_first_edge(inst):
 def build_tree(inst, pol, force=False):
     """Materialize the full decision tree of a policy.
 
-    A policy is a function of the State, so equal states get the same
-    subtree: each distinct state is decided and built once, and its node is
-    shared by every path that reaches it.
+    A policy is a function of the state key, so equal states get the same
+    subtree: each distinct state is handed to the policy and built once, and
+    its node is shared by every path that reaches it.
     """
     inst.check_caps(force)
-    return _build(inst, pol, initial_state(inst), {})
+    return _build(inst, kernel(inst), pol, initial_state(inst), {})
 
 
-def _build(inst, pol, s, nodes):
-    """The node of state s, built once per state and kept in nodes.
+def _build(inst, rows, pol, key, nodes):
+    """The node of state key, built once per state and kept in nodes.
 
     A module-level function rather than a closure, so no reference cycle
     keeps the policy (and any memo it holds) alive after the build.
     """
-    key = (s.alive, s.patience_left)
     node = nodes.get(key)
     if node is not None:
         return node
-    e = pol(s)
+    e = pol(key)
     if e is None:
-        if probeable_edges(inst, s):
+        if key & ((1 << inst.m) - 1):
             raise ValueError("policy stopped while edges were probeable")
-        node = TreeNode(state=s)
+        node = TreeNode(state=key)
     else:
         u, v, p = inst.edges[e]
-        left = _build(inst, pol, apply_success(inst, s, e), nodes)
-        right = _build(inst, pol, apply_failure(inst, s, e), nodes)
+        left = _build(inst, rows, pol, apply_success(rows, key, e), nodes)
+        right = _build(inst, rows, pol, apply_failure(rows, key, e), nodes)
         value = p * (1.0 + left.value) + (1.0 - p) * right.value
-        node = TreeNode(state=s, edge=e, u=u, v=v, p=p, left=left, right=right, value=value)
+        node = TreeNode(state=key, edge=e, u=u, v=v, p=p, left=left, right=right, value=value)
     nodes[key] = node
     return node
 
@@ -112,6 +106,6 @@ def subtree_value(t):
 
 
 def policy_value(inst, pol, force=False):
-    """Expected matched count of a policy that is a function of the State."""
+    """Expected matched count of a policy that is a function of the state key."""
     return build_tree(inst, pol, force).value
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import apply_failure, apply_success
+from .core import apply_failure, apply_success, kernel
 from .events import (
     UNDEFINED_CUTOFF,
     FailsKthOfVertex,
@@ -60,7 +60,7 @@ def transform_optprime(t, ab):
             return node.p + value(node.left)
         return node.p * (1.0 + value(node.left)) + (1.0 - node.p) * value(node.right)
 
-    return value(t), t
+    return value(t)
 
 
 def value_algL(t, ab, alpha, beta):
@@ -291,7 +291,7 @@ def check_chain(inst, instance_id="", force=False):
     e_opt = subtree_value(opt_tree)
     e_grd = subtree_value(grd_tree)
 
-    e_optprime, _ = transform_optprime(opt_tree, ab)
+    e_optprime = transform_optprime(opt_tree, ab)
     e_algL = value_algL(opt_tree, ab, alpha, beta)
     e_algR = value_algR(inst, opt_tree, ab)
 
@@ -315,8 +315,9 @@ def check_chain(inst, instance_id="", force=False):
     # Induction endpoints: the filtered policies are proper policies for the
     # states after ab succeeds and after it fails, so the optima of those
     # states bound them from above.  The root solve left both in the memo.
-    opt_left = state_value(inst, apply_success(inst, opt_tree.state, ab), memo)
-    opt_right = state_value(inst, apply_failure(inst, opt_tree.state, ab), memo)
+    rows = kernel(inst)
+    opt_left = state_value(inst, apply_success(rows, opt_tree.state, ab), memo)
+    opt_right = state_value(inst, apply_failure(rows, opt_tree.state, ab), memo)
 
     # Greedy recursion identity used by the final step of the chain.
     e_left_grd = subtree_value(grd_tree.left)

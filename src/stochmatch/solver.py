@@ -4,72 +4,21 @@ The value recursion: V(s) = 0 if no edge is probeable, otherwise the max over
 probeable edges e of p_e * (1 + V(success)) + (1 - p_e) * V(failure).
 Argmax ties break by ascending edge index under exact float comparison.
 
-The memo is keyed by canonical packed states: a key never has an alive edge
-at a vertex whose patience is exhausted, so alive and probeable coincide, and
-two states that differ only in such dead edges are solved once.
+The memo is keyed by canonical packed states (see core.kernel), so alive and
+probeable coincide and states with the same future are solved once.  _solve
+inlines core's apply_success and apply_failure: it is the DP's inner loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import initial_state
+from .core import check_key, initial_state, kernel
 
 LEMMA_TOL = 1e-9
 
 
-def _kernel(inst):
-    """The packed state key of an instance and its per-edge transition data.
-
-    A key is one int: the alive-edge bits are its low m bits, and above them
-    sits one w-bit patience field per vertex, w = max(patience).bit_length().
-    Keys are canonical: no key has an alive edge at a vertex whose field is 0,
-    so an alive edge is a probeable one, and states with the same future share
-    one key.  Returns (pack, alive mask, edges); pack maps a State to its key,
-    clearing the edges of its exhausted vertices, and edges[e] is (field of u,
-    field of v, u's other edges, v's other edges, success mask, failure
-    decrement, p, 1 - p).  A success child is key & keep; a failure child is
-    key - dec, less the other edges of an endpoint whose field reaches 0.
-    """
-    m, n = inst.m, inst.n
-    w = max(inst.patience, default=0).bit_length()
-    unit = [1 << (m + w * v) for v in range(n)]
-    fields = [((1 << w) - 1) * b for b in unit]
-    inc = inst.incidence
-    edges = [
-        (
-            fields[u],
-            fields[v],
-            inc[u] & ~(1 << e),
-            inc[v] & ~(1 << e),
-            ~(inc[u] | inc[v] | fields[u] | fields[v]),
-            (1 << e) + unit[u] + unit[v],
-            p,
-            1.0 - p,
-        )
-        for e, (u, v, p) in enumerate(inst.edges)
-    ]
-    mask = (1 << m) - 1
-    limit = 1 << w
-
-    def pack(s):
-        if s.alive >> m or len(s.patience_left) != n:
-            raise ValueError("state does not fit this instance")
-        key = 0
-        alive = s.alive
-        for v in reversed(range(n)):
-            t = s.patience_left[v]
-            if not 0 <= t < limit:
-                raise ValueError("state does not fit this instance")
-            if not t:
-                alive &= ~inc[v]
-            key = (key << w) | t
-        return (key << m) | alive
-
-    return pack, mask, edges
-
-
-def _solve(key, mask, edges, memo):
+def _solve(key, mask, rows, memo):
     """(value, best edge or None) of a canonical packed state not yet in memo.
 
     Every alive edge of a canonical key is probeable, and both children are
@@ -84,15 +33,15 @@ def _solve(key, mask, edges, memo):
         low = alive & -alive
         alive ^= low
         e = low.bit_length() - 1
-        fu, fv, ou, ov, keep, dec, p, q = edges[e]
+        fu, fv, ou, ov, keep, dec, p, q = rows[e]
         succ = key & keep
         fail = key - dec
         if fail & ou and not fail & fu:
             fail -= fail & ou
         if fail & ov and not fail & fv:
             fail -= fail & ov
-        vs = (memo.get(succ) or _solve(succ, mask, edges, memo))[0]
-        vf = (memo.get(fail) or _solve(fail, mask, edges, memo))[0]
+        vs = (memo.get(succ) or _solve(succ, mask, rows, memo))[0]
+        vf = (memo.get(fail) or _solve(fail, mask, rows, memo))[0]
         val = p * (1.0 + vs) + q * vf
         if val > best_val:
             best_val = val
@@ -104,23 +53,21 @@ def _solve(key, mask, edges, memo):
 def optimal_value(inst, force=False):
     """Optimal expected matched count and the memo of solved states.
 
-    The memo maps packed int state keys (see _kernel) to (value, best edge
-    or None); state_value and optimal_policy key a shared memo the same way.
+    The memo maps canonical packed state keys (see core.kernel) to (value,
+    best edge or None); state_value and optimal_policy key a shared memo the
+    same way.
     """
     inst.check_caps(force)
     memo = {}
-    pack, mask, edges = _kernel(inst)
-    value, _ = _solve(pack(initial_state(inst)), mask, edges, memo)
+    value, _ = _solve(initial_state(inst), (1 << inst.m) - 1, kernel(inst), memo)
     return value, memo
 
 
-def state_value(inst, s, memo=None):
-    """Optimal value of an arbitrary state (lazy; shares memo if given)."""
-    if memo is None:
-        memo = {}
-    pack, mask, edges = _kernel(inst)
-    key = pack(s)
-    return (memo.get(key) or _solve(key, mask, edges, memo))[0]
+def state_value(inst, key, memo=None):
+    """Optimal value of a canonical state key (lazy; shares memo if given)."""
+    check_key(inst, key)
+    memo = {} if memo is None else memo
+    return (memo.get(key) or _solve(key, (1 << inst.m) - 1, kernel(inst), memo))[0]
 
 
 def optimal_policy(inst, force=False, memo=None):
@@ -128,22 +75,20 @@ def optimal_policy(inst, force=False, memo=None):
 
     States never reached during the initial solve are solved on demand, so
     the policy is optimal on every state, reachable or not.  It fills memo if
-    given.  Decisions already made are kept per policy under the State's own
-    fields, so a repeated decision costs one dict read and no packing.
+    given.  A decision is one memo read; a key missing from the memo is
+    checked (ValueError if it is not a canonical key of inst) and solved.
     """
     inst.check_caps(force)
     memo = {} if memo is None else memo
-    pack, mask, edges = _kernel(inst)
-    decided = {}
+    mask = (1 << inst.m) - 1
+    rows = kernel(inst)
 
-    def choose(s):
-        state = (s.alive, s.patience_left)
-        try:
-            return decided[state]
-        except KeyError:
-            key = pack(s)
-            e = decided[state] = (memo.get(key) or _solve(key, mask, edges, memo))[1]
-            return e
+    def choose(key):
+        entry = memo.get(key)
+        if entry is None:
+            check_key(inst, key)
+            entry = _solve(key, mask, rows, memo)
+        return entry[1]
 
     return choose
 

@@ -1,11 +1,12 @@
 import random
 import struct
 import zlib
+from dataclasses import dataclass
 
 import pytest
 
 from stochmatch import Instance
-from stochmatch.core import apply_failure, apply_success, initial_state, probeable_edges
+from stochmatch.core import probeable_edges
 from stochmatch.generator import GeneratorSpec, generate_instance
 
 
@@ -73,16 +74,94 @@ def random_instances(seed, count, n_max=6, m_max=8, t_max=3):
 
 
 def arbitrary_policy(inst, salt):
-    """A deterministic policy that is a function of the state only."""
+    """A deterministic policy that is a function of the state key only."""
 
-    def choose(s):
-        probeable = probeable_edges(inst, s)
+    def choose(key):
+        probeable = probeable_edges(inst, key)
         if not probeable:
             return None
-        h = zlib.crc32(struct.pack("<I", s.alive) + bytes(s.patience_left)) ^ salt
+        alive, patience = unpack_key(inst, key)
+        h = zlib.crc32(struct.pack("<I", alive) + bytes(patience)) ^ salt
         return probeable[h % len(probeable)]
 
     return choose
+
+
+def pack_key(inst, alive, patience):
+    """The int core packs for an alive mask and patience per vertex: alive
+    bits low, then one field per vertex as wide as the largest patience needs.
+    Written independently of core and without canonicalising, so it can also
+    make keys that do not fit or are not canonical.
+    """
+    m, w = inst.m, max(inst.patience, default=0).bit_length()
+    return alive + sum(t << (m + w * v) for v, t in enumerate(patience))
+
+
+def unpack_key(inst, key):
+    """(alive mask, patience per vertex) of a packed key; see pack_key."""
+    m, w = inst.m, max(inst.patience, default=0).bit_length()
+    fields = tuple((key >> (m + w * v)) & ((1 << w) - 1) for v in range(inst.n))
+    return key & ((1 << m) - 1), fields
+
+
+def canonical_key(inst, s):
+    """Key of a raw State with the edges of its exhausted vertices cleared."""
+    pat = s.patience_left
+    dead = sum(1 << e for e, (u, v, _) in enumerate(inst.edges) if not (pat[u] and pat[v]))
+    return pack_key(inst, s.alive & ~dead, pat)
+
+
+# The raw-state model: an alive-edge mask and a patience tuple, stepped
+# without packing or canonical form.  reference_dp and the transition tests
+# check core's packed keys against it.
+
+
+@dataclass(frozen=True)
+class State:
+    """Alive-edge bitmask plus remaining patience per vertex."""
+
+    alive: int
+    patience_left: tuple
+
+
+def raw_initial_state(inst):
+    return State(alive=(1 << inst.m) - 1, patience_left=inst.patience)
+
+
+def is_probeable(inst, s, e):
+    u, v, _ = inst.edges[e]
+    return bool((s.alive >> e) & 1) and s.patience_left[u] > 0 and s.patience_left[v] > 0
+
+
+def raw_probeable_edges(inst, s):
+    """Alive edges whose both endpoints still have patience, ascending index."""
+    return [e for e in range(inst.m) if is_probeable(inst, s, e)]
+
+
+def raw_success(inst, s, e):
+    """Match edge e: drop both endpoints and every edge incident to them."""
+    if not is_probeable(inst, s, e):
+        raise ValueError(f"edge {e} is not probeable in this state")
+    u, v, _ = inst.edges[e]
+    alive = s.alive
+    for f, (a, b, _) in enumerate(inst.edges):
+        if {a, b} & {u, v}:
+            alive &= ~(1 << f)
+    pat = list(s.patience_left)
+    pat[u] = 0
+    pat[v] = 0
+    return State(alive=alive, patience_left=tuple(pat))
+
+
+def raw_failure(inst, s, e):
+    """Failed probe of e: drop e and decrement patience at both endpoints."""
+    if not is_probeable(inst, s, e):
+        raise ValueError(f"edge {e} is not probeable in this state")
+    u, v, _ = inst.edges[e]
+    pat = list(s.patience_left)
+    pat[u] -= 1
+    pat[v] -= 1
+    return State(alive=s.alive & ~(1 << e), patience_left=tuple(pat))
 
 
 def path_sum_value(t):
@@ -124,8 +203,8 @@ def reference_dp(inst):
     """Raw-state DP oracle: (value, best edge or None) of every State reachable
     from the initial state under any policy.
 
-    Keys are core.State values and children come from apply_success and
-    apply_failure, so no packing or canonical form is shared with the solver.
+    Keys are raw State values and children come from raw_success and
+    raw_failure, so no packing or canonical form is shared with the solver.
     Edges are tried in ascending order and the first maximum wins a tie; the
     value is the solver's float expression, so the two agree exactly.
     """
@@ -135,17 +214,17 @@ def reference_dp(inst):
         entry = table.get(s)
         if entry is None:
             best_val, best_edge = 0.0, None
-            for e in probeable_edges(inst, s):
+            for e in raw_probeable_edges(inst, s):
                 p = inst.edges[e][2]
-                vs = solve(apply_success(inst, s, e))[0]
-                vf = solve(apply_failure(inst, s, e))[0]
+                vs = solve(raw_success(inst, s, e))[0]
+                vf = solve(raw_failure(inst, s, e))[0]
                 val = p * (1.0 + vs) + (1.0 - p) * vf
                 if val > best_val:
                     best_val, best_edge = val, e
             entry = table[s] = (best_val, best_edge)
         return entry
 
-    solve(initial_state(inst))
+    solve(raw_initial_state(inst))
     return table
 
 

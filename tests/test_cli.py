@@ -1,7 +1,16 @@
+import io
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochmatch import cli
 from stochmatch.cli import main
+from stochmatch.core import Instance, format_instance
 
 SINGLE = "stochmatch 1\n2 1\n1 1\n0 1 0.7\n"
 EMPTY = "stochmatch 1\n3 0\n1 1 1\n"
@@ -21,6 +30,11 @@ def write(tmp_path):
         return str(path)
 
     return _write
+
+
+@pytest.fixture(scope="module")
+def instance_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("exit_codes")
 
 
 class TestEval:
@@ -178,3 +192,54 @@ class TestArgumentValidation:
         assert err.startswith("usage:")
         assert argv[1] in err
         assert not (tmp_path / "scan.csv").exists()
+
+
+@st.composite
+def instance_texts(draw):
+    """A tiny valid instance text, or one with a single token replaced or deleted."""
+    n = draw(st.integers(0, 4))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4)) if pairs else []
+    prob = st.sampled_from([0.1, 0.5, 0.9, 1.0])
+    inst = Instance(
+        n=n,
+        edges=tuple((u, v, draw(prob)) for u, v in chosen),
+        patience=tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))),
+    )
+    lines = [line.split() for line in format_instance(inst).splitlines()]
+    tokens = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+    if draw(st.booleans()):
+        i, j = draw(st.sampled_from(tokens))
+        lines[i][j] = draw(
+            st.one_of(
+                st.integers(-2, 70).map(str),
+                st.floats().map(repr),
+                st.sampled_from(["", "x", "#", "stochmatch", "0x1", "1_0"]),
+            )
+        )
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+class TestExitCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(text=instance_texts(), command=st.sampled_from(["eval", "ratio", "check"]))
+    # A subnormal p made (1 - p) / p overflow: check printed nan slacks and exited 1.
+    @example(text="stochmatch 1\n2 1\n1 1\n0 1 5e-324\n", command="check")
+    @example(text=f"stochmatch 1\n2 1\n1 1\n0 1 {sys.float_info.min!r}\n", command="check")
+    def test_status_0_or_2(self, instance_dir, text, command):
+        # Tiny instances, valid or one token off: nothing escapes main, and
+        # an error (status 2) prints only to stderr.  Each example gets a new
+        # file, since rewriting a file in place can cost tens of ms.
+        fd, path = tempfile.mkstemp(suffix=".txt", dir=instance_dir)
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status = main([command, "--instance", path])
+            except SystemExit as exc:
+                status = exc.code
+        assert status in (0, 2), (status, err.getvalue())
+        if status == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith(("error: ", "usage: "))

@@ -1,6 +1,19 @@
+import sys
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+
+from conftest import (
+    canonical_key,
+    random_instances,
+    raw_failure,
+    raw_initial_state,
+    raw_probeable_edges,
+    raw_success,
+    reference_dp,
+    unpack_key,
+)
 
 from stochmatch.core import (
     Instance,
@@ -10,6 +23,7 @@ from stochmatch.core import (
     apply_success,
     format_instance,
     initial_state,
+    kernel,
     parse_instance,
     probeable_edges,
 )
@@ -23,7 +37,7 @@ def instances(draw):
     n = draw(st.integers(0, 8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    prob = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    prob = st.floats(min_value=sys.float_info.min, max_value=1.0)
     edges = tuple((u, v, draw(prob)) for u, v in chosen)
     patience = tuple(draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n)))
     return Instance(n=n, edges=edges, patience=patience)
@@ -57,6 +71,14 @@ class TestParse:
     def test_p_above_one_rejected(self):
         with pytest.raises(InstanceError, match="probability"):
             parse_instance("stochmatch 1\n2 1\n1 1\n0 1 1.5\n")
+
+    def test_subnormal_p_rejected(self):
+        # Below the smallest normal float the chain's (1 - p) / p overflows.
+        with pytest.raises(InstanceError, match="subnormal"):
+            parse_instance("stochmatch 1\n2 1\n1 1\n0 1 5e-324\n")
+        with pytest.raises(ValueError):
+            Instance(n=2, edges=((0, 1, 5e-324),), patience=(1, 1))
+        assert parse_instance(f"stochmatch 1\n2 1\n1 1\n0 1 {sys.float_info.min!r}\n").m == 1
 
     def test_self_loop_rejected(self):
         with pytest.raises(InstanceError, match="self-loop"):
@@ -94,65 +116,85 @@ class TestParse:
 
 class TestTransitions:
     def test_initial_state(self, p4):
-        s = initial_state(p4)
-        assert s.alive == 0b111
-        assert s.patience_left == (2, 2, 2, 2)
+        assert unpack_key(p4, initial_state(p4)) == (0b111, (2, 2, 2, 2))
 
     def test_initial_state_empty(self, empty_graph):
-        assert initial_state(empty_graph).alive == 0
+        assert unpack_key(empty_graph, initial_state(empty_graph))[0] == 0
 
     def test_success_removes_shared_endpoint_edges(self, p4):
-        s = apply_success(p4, initial_state(p4), 0)  # edge a-b
-        assert not (s.alive >> 1) & 1  # b-c gone too
-        assert (s.alive >> 2) & 1  # c-d survives
-        assert s.patience_left[0] == 0 and s.patience_left[1] == 0
+        key = apply_success(kernel(p4), initial_state(p4), 0)  # edge a-b
+        alive, patience = unpack_key(p4, key)
+        assert not (alive >> 1) & 1  # b-c gone too
+        assert (alive >> 2) & 1  # c-d survives
+        assert patience[0] == 0 and patience[1] == 0
 
     def test_success_keeps_disjoint_edge(self, disjoint_pair):
-        s = apply_success(disjoint_pair, initial_state(disjoint_pair), 0)
-        assert probeable_edges(disjoint_pair, s) == [1]
+        key = apply_success(kernel(disjoint_pair), initial_state(disjoint_pair), 0)
+        assert probeable_edges(disjoint_pair, key) == [1]
 
     def test_success_on_star_spoke_kills_all(self):
         star = Instance(
             n=4, edges=((0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.5)), patience=(3, 1, 1, 1)
         )
-        s = apply_success(star, initial_state(star), 1)
-        assert s.alive == 0
+        key = apply_success(kernel(star), initial_state(star), 1)
+        assert unpack_key(star, key)[0] == 0
 
     def test_failure_single_edge(self, single_edge):
-        s = apply_failure(single_edge, initial_state(single_edge), 0)
-        assert s.alive == 0
-        assert s.patience_left == (0, 0)
+        key = apply_failure(kernel(single_edge), initial_state(single_edge), 0)
+        assert unpack_key(single_edge, key) == (0, (0, 0))
 
     def test_failure_exhausts_star_center(self):
+        # The center's other edge is cleared with its patience: the key is canonical.
         star = Instance(n=3, edges=((0, 1, 0.5), (0, 2, 0.5)), patience=(1, 2, 2))
-        s = apply_failure(star, initial_state(star), 0)
-        assert probeable_edges(star, s) == []
+        key = apply_failure(kernel(star), initial_state(star), 0)
+        assert probeable_edges(star, key) == []
+        assert unpack_key(star, key) == (0, (0, 1, 2))
 
     def test_failure_patient_star_center(self, star2):
-        s = apply_failure(star2, initial_state(star2), 0)
-        assert probeable_edges(star2, s) == [1]
+        key = apply_failure(kernel(star2), initial_state(star2), 0)
+        assert probeable_edges(star2, key) == [1]
 
     def test_not_probeable_raises(self, single_edge):
-        s = apply_failure(single_edge, initial_state(single_edge), 0)
+        rows = kernel(single_edge)
+        key = apply_failure(rows, initial_state(single_edge), 0)
         with pytest.raises(ValueError):
-            apply_success(single_edge, s, 0)
+            apply_success(rows, key, 0)
         with pytest.raises(ValueError):
-            apply_failure(single_edge, s, 0)
+            apply_failure(rows, key, 0)
 
     def test_probeable_initially_all(self, p4):
         assert probeable_edges(p4, initial_state(p4)) == [0, 1, 2]
+
+    def test_transitions_match_raw_model(self):
+        # Every raw state reachable under any policy: each transition's key is
+        # the canonical key of the raw model's child.
+        for inst in random_instances(seed=28, count=60) + [
+            Instance(n=4, edges=((0, 1, 0.3), (0, 2, 0.6), (1, 2, 0.5), (2, 3, 0.8)),
+                     patience=(5, 4, 2, 6)),
+        ]:
+            rows = kernel(inst)
+            assert initial_state(inst) == canonical_key(inst, raw_initial_state(inst))
+            for s in reference_dp(inst):
+                key = canonical_key(inst, s)
+                assert probeable_edges(inst, key) == raw_probeable_edges(inst, s)
+                for e in raw_probeable_edges(inst, s):
+                    assert apply_success(rows, key, e) == canonical_key(inst, raw_success(inst, s, e))
+                    assert apply_failure(rows, key, e) == canonical_key(inst, raw_failure(inst, s, e))
 
 
 class TestInvariants:
     def test_transitions_shrink_measure(self, p4):
         # (|alive|, sum patience) drops lexicographically on every transition.
+        rows = kernel(p4)
         stack = [initial_state(p4)]
         while stack:
-            s = stack.pop()
-            before = (bin(s.alive).count("1"), sum(s.patience_left))
-            for e in probeable_edges(p4, s):
-                for nxt in (apply_success(p4, s, e), apply_failure(p4, s, e)):
-                    after = (bin(nxt.alive).count("1"), sum(nxt.patience_left))
+            key = stack.pop()
+            alive, patience = unpack_key(p4, key)
+            before = (bin(alive).count("1"), sum(patience))
+            for e in probeable_edges(p4, key):
+                for nxt in (apply_success(rows, key, e), apply_failure(rows, key, e)):
+                    alive, patience = unpack_key(p4, nxt)
+                    after = (bin(alive).count("1"), sum(patience))
                     assert after < before
                     stack.append(nxt)
 

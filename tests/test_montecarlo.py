@@ -2,7 +2,7 @@ import pytest
 
 from conftest import arbitrary_policy, random_instances
 
-from stochmatch.core import Instance, State
+from stochmatch.core import Instance
 from stochmatch.montecarlo import SplitMix64, simulate
 from stochmatch.policy import greedy_policy, policy_value
 
@@ -52,8 +52,8 @@ class TestSimulate:
         # A success transition that removes only the probed edge leaves its
         # endpoints matchable, so the path's second certain edge reuses
         # vertex 1.
-        def keep_endpoints(inst, s, e):
-            return State(alive=s.alive & ~(1 << e), patience_left=s.patience_left)
+        def keep_endpoints(rows, key, e):
+            return key & ~(1 << e)
 
         monkeypatch.setattr("stochmatch.montecarlo.apply_success", keep_endpoints)
         inst = Instance(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)), patience=(1, 1, 1))

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import arbitrary_policy, leaf_probabilities, path_sum_value, random_instances
 
-from stochmatch.core import Instance, apply_failure, initial_state
+from stochmatch.core import Instance, apply_failure, apply_success, initial_state, kernel
 from stochmatch.policy import (
     build_tree,
     greedy_first_edge,
@@ -30,11 +30,12 @@ class TestGreedy:
 
     def test_all_failure_path_order(self, p4):
         pol = greedy_policy(p4)
-        s = initial_state(p4)
+        rows = kernel(p4)
+        key = initial_state(p4)
         probed = []
-        while (e := pol(s)) is not None:
+        while (e := pol(key)) is not None:
             probed.append(e)
-            s = apply_failure(p4, s, e)
+            key = apply_failure(rows, key, e)
         assert probed == [1, 0, 2]  # bc first (p=0.51), then ab, then cd
 
     def test_stop_on_empty(self, empty_graph):
@@ -70,17 +71,19 @@ class TestBuildTree:
         assert depth(t) == 2
 
     def test_child_state_invariant(self, p4):
-        from stochmatch.core import apply_failure, apply_success
+        rows = kernel(p4)
 
         def walk(node):
             if node.is_leaf:
                 return
-            assert node.left.state == apply_success(p4, node.state, node.edge)
-            assert node.right.state == apply_failure(p4, node.state, node.edge)
+            assert node.left.state == apply_success(rows, node.state, node.edge)
+            assert node.right.state == apply_failure(rows, node.state, node.edge)
             walk(node.left)
             walk(node.right)
 
-        walk(build_tree(p4, greedy_policy(p4)))
+        t = build_tree(p4, greedy_policy(p4))
+        assert t.state == initial_state(p4)
+        walk(t)
 
 
 def _distinct_nodes(t):

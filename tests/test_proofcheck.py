@@ -56,7 +56,7 @@ def _reduced_after_failure(inst, ab):
 class TestOptPrime:
     def test_single_edge_equals_opt(self, single_edge):
         t = opt_tree_of(single_edge)
-        value, _ = transform_optprime(t, 0)
+        value = transform_optprime(t, 0)
         assert value == pytest.approx(0.7, abs=1e-12)
 
     def test_never_probed_edge_leaves_value(self):
@@ -73,7 +73,7 @@ class TestOptPrime:
         ]
         assert unprobed  # tight patience leaves some edges untouched
         for e in unprobed:
-            value, _ = transform_optprime(t, e)
+            value = transform_optprime(t, e)
             assert value == pytest.approx(subtree_value(t), abs=1e-12)
 
     def test_opt_bounded_by_optprime(self):
@@ -82,7 +82,7 @@ class TestOptPrime:
             p_ab = inst.edges[ab][2]
             t = opt_tree_of(inst)
             e_opt = subtree_value(t)
-            e_optprime, _ = transform_optprime(t, ab)
+            e_optprime = transform_optprime(t, ab)
             p_probe = event_probability(t, ProbesEdge(ab))
             assert e_opt <= e_optprime + (1.0 - p_ab) * p_probe + 1e-9
 
@@ -103,7 +103,7 @@ class TestAlgL:
             ab = greedy_first_edge(inst)
             alpha, beta, p_ab = inst.edges[ab]
             t = opt_tree_of(inst)
-            e_optprime, _ = transform_optprime(t, ab)
+            e_optprime = transform_optprime(t, ab)
             e_algL = value_algL(t, ab, alpha, beta)
             e_RL = residual_RL(t, ab, alpha, beta, p_ab)
             assert e_optprime == pytest.approx(e_algL + e_RL, abs=1e-9)

@@ -1,8 +1,23 @@
 import pytest
 
-from conftest import arbitrary_policy, brute_force_optimal, random_instances, reference_dp
+from conftest import (
+    arbitrary_policy,
+    brute_force_optimal,
+    canonical_key,
+    pack_key,
+    random_instances,
+    reference_dp,
+    unpack_key,
+)
 
-from stochmatch.core import Instance, State, initial_state
+from stochmatch.core import (
+    Instance,
+    apply_failure,
+    apply_success,
+    initial_state,
+    kernel,
+    probeable_edges,
+)
 from stochmatch.generator import GeneratorSpec, generate_instances
 from stochmatch.policy import build_tree, greedy_policy, policy_value
 from stochmatch.solver import (
@@ -79,19 +94,22 @@ class TestPackedKey:
         assert optimal_policy(disjoint16, memo=memo)(initial_state(disjoint16)) == 0
 
     def test_state_outside_instance_rejected(self, p4):
-        with pytest.raises(ValueError):
-            state_value(p4, State(alive=1 << p4.m, patience_left=p4.patience))
-        with pytest.raises(ValueError):
-            state_value(p4, State(alive=0, patience_left=(8, 2, 2, 2)))
-        with pytest.raises(ValueError):
-            state_value(p4, State(alive=0, patience_left=(2, 2, 2)))
-
-
-def _unpack(inst, key):
-    """(alive mask, patience per vertex) of a packed key, in _kernel's layout."""
-    m = inst.m
-    w = max(inst.patience).bit_length()
-    return key & ((1 << m) - 1), [(key >> (m + w * v)) & ((1 << w) - 1) for v in range(inst.n)]
+        for alive, patience in [
+            (0, (0, 0, 0, 4)),  # 1 << (m + w * n): one past the last field
+            (0, (2, 2, 2, 8)),  # a patience wider than its field
+            (0, (2, 2, 2, 2, 1)),  # a fifth vertex
+            (-1, (0, 0, 0, 0)),  # negative
+            (0b001, (0, 2, 2, 2)),  # not canonical: edge 0 alive at exhausted vertex 0
+            (0b100, (2, 2, 2, 0)),  # not canonical: edge 2 alive at exhausted vertex 3
+        ]:
+            key = pack_key(p4, alive, patience)
+            with pytest.raises(ValueError):
+                state_value(p4, key)
+            # Checked before the solve, so nothing enters a shared memo.
+            memo = {}
+            with pytest.raises(ValueError):
+                optimal_policy(p4, memo=memo)(key)
+            assert memo == {}
 
 
 class TestCanonicalStates:
@@ -100,12 +118,16 @@ class TestCanonicalStates:
         size = len(memo)
         pol = optimal_policy(inst, force=True, memo=memo)
         for s, (value, edge) in reference_dp(inst).items():
-            assert state_value(inst, s, memo) == value
-            assert pol(s) == edge
+            key = canonical_key(inst, s)
+            assert state_value(inst, key, memo) == value
+            assert pol(key) == edge
         assert len(memo) == size  # every reachable raw state's key was solved from the root
         for key in memo:
-            alive, patience = _unpack(inst, key)
-            assert not any(alive & inst.incidence[v] for v in range(inst.n) if patience[v] == 0)
+            alive, patience = unpack_key(inst, key)
+            assert not any(
+                alive >> e & 1 and not (patience[u] and patience[v])
+                for e, (u, v, _) in enumerate(inst.edges)
+            )
 
     def test_random_instances_match_reference(self):
         for inst in random_instances(seed=27, count=150):
@@ -129,6 +151,27 @@ class TestCanonicalStates:
                 patience=(5, 4, 2, 6),
             )
         )
+
+    def _check_closed_under_transitions(self, inst):
+        _, memo = optimal_value(inst, force=True)
+        rows = kernel(inst)
+        for key, (value, edge) in memo.items():
+            best = (0.0, None)
+            for e in probeable_edges(inst, key):
+                succ = apply_success(rows, key, e)
+                fail = apply_failure(rows, key, e)
+                assert succ in memo and fail in memo
+                p = inst.edges[e][2]
+                val = p * (1.0 + memo[succ][0]) + (1.0 - p) * memo[fail][0]
+                if val > best[0]:
+                    best = (val, e)
+            assert (value, edge) == best
+
+    def test_inline_dp_matches_shared_transitions(self, disjoint16):
+        # _solve steps keys inline; every child core's transitions reach from
+        # a memo key must be a memo key, and each entry the best over them.
+        for inst in random_instances(seed=29, count=100) + [disjoint16]:
+            self._check_closed_under_transitions(inst)
 
     def test_solve_ladder_state_counts(self, disjoint16):
         # The benchmark's solve ladder; its state counts do not depend on p.
