@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 property violation (a checked relation failed),
-2 usage or parse error, or an instance too large to evaluate.
+2 usage or parse error, an instance too large to evaluate, or a standard
+output closed before everything was written (as in `stochmatch scan ... |
+head -1`).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -104,14 +107,18 @@ def cmd_check(args):
 
 
 def cmd_scan(args):
-    spec = GeneratorSpec(
-        family=args.family,
-        n=args.n,
-        density=args.density,
-        p_grid=not args.puniform,
-        t_max=args.tmax,
-        seed=args.seed,
-    )
+    try:
+        spec = GeneratorSpec(
+            family=args.family,
+            n=args.n,
+            density=args.density,
+            p_grid=not args.puniform,
+            t_max=args.tmax,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     start = time.monotonic()
     instances = generate_instances(spec, args.count)
     rows = []
@@ -208,9 +215,16 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)  # argparse exits 2 on usage errors
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)  # argparse exits 2 on usage errors
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of what is
+        # still buffered cannot raise again (the recipe in Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except SizeCapError as exc:
         print(f"error: {exc} (use --force to override)", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -10,6 +11,10 @@ from .core import Instance
 FAMILIES = ("gnp", "path", "star", "complete")
 
 P_GRID = tuple(round(0.1 * k, 1) for k in range(1, 11))
+
+# gnp redraws an empty graph, so a spec whose draw is nonempty with a smaller
+# chance than this is rejected: it would take over 1,000 draws per instance.
+MIN_NONEMPTY_CHANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,14 @@ class GeneratorSpec:
             raise ValueError("density must be in (0, 1]")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
+        if self.family == "gnp" and self.density < 1.0:
+            pairs = self.n * (self.n - 1) // 2
+            nonempty = -math.expm1(pairs * math.log1p(-self.density))
+            if nonempty < MIN_NONEMPTY_CHANCE:
+                raise ValueError(
+                    f"gnp with n={self.n} and density {self.density} draws an edge with "
+                    f"chance {nonempty:.3g}, below {MIN_NONEMPTY_CHANCE}"
+                )
 
 
 def _edge_prob(rng, spec):

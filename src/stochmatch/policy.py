@@ -11,14 +11,13 @@ node carries its subtree's value, computed once when the node is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import apply_failure, apply_success, initial_state, kernel
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Decision tree node.  Leaf iff edge is None.
+class TreeNode(NamedTuple):
+    """Decision tree node, an immutable named tuple.  Leaf iff edge is None.
 
     Internal nodes record the probed edge, its endpoints and success
     probability; left is the success branch, right the failure branch.
@@ -84,13 +83,13 @@ def _build(inst, rows, pol, key, nodes):
     if e is None:
         if key & ((1 << inst.m) - 1):
             raise ValueError("policy stopped while edges were probeable")
-        node = TreeNode(state=key)
+        node = TreeNode(key)
     else:
         u, v, p = inst.edges[e]
         left = _build(inst, rows, pol, apply_success(rows, key, e), nodes)
         right = _build(inst, rows, pol, apply_failure(rows, key, e), nodes)
         value = p * (1.0 + left.value) + (1.0 - p) * right.value
-        node = TreeNode(state=key, edge=e, u=u, v=v, p=p, left=left, right=right, value=value)
+        node = TreeNode(key, e, u, v, p, left, right, value)
     nodes[key] = node
     return node
 

@@ -4,17 +4,18 @@ Everything here works on explicit decision trees of the optimal policy for a
 concrete instance.  The checked chain bounds the optimum by two filtered
 policies (one for the instance after greedy's first probe succeeds, one for
 after it fails) plus closed-form residuals, and ends at the factor-2 bound
-against greedy.  check_chain computes its path events in one walk of the
-optimal tree and reads the induction endpoints from the root solve's memo;
-the events module, through residual_RL, residual_RR and check_key_lemma, is
-the reference specification of those events.
+against greedy.  check_chain solves the DP once, builds the optimal tree
+over that memo and computes its path events in one walk of the tree.  The
+induction endpoints are the memo's values at greedy's root children, the
+states after greedy's first probe ab succeeds and after it fails.  The events
+module, through residual_RL, residual_RR and check_key_lemma, is the
+reference specification of those events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import apply_failure, apply_success, kernel
 from .events import (
     UNDEFINED_CUTOFF,
     FailsKthOfVertex,
@@ -26,8 +27,7 @@ from .events import (
     event_probability,
 )
 from .policy import build_tree, greedy_first_edge, greedy_policy, subtree_value
-from .solver import optimal_policy, state_value
-from .solver import optimal_value  # noqa: F401  (perfbench/tracing.py rebinds it)
+from .solver import optimal_policy, optimal_value
 
 TOL = 1e-9
 
@@ -194,37 +194,48 @@ def check_key_lemma(t, inst, gamma, ab):
     return KeyLemmaResult(lhs=lhs, rhs_lemma=c_fail_kth, rhs_corollary=c_not_take)
 
 
-def _path_masses(t, ab, ends):
-    """P(ab probed), P(ab never probed) and, per (vertex, t) in ends, the
-    masses of never-probed paths that take the vertex, take it at its t-th
-    touch, fail its t-th touch and never take it.  Masses are summed leaf by
-    leaf in event_probability's order, so they match the events module's.
+def _path_masses(t, ab, alpha, k_alpha, beta, k_beta):
+    """P(ab probed), P(ab never probed) and, for alpha at its k_alpha-th touch
+    and beta at its k_beta-th, the masses of never-probed paths that take the
+    vertex, take it at that touch, fail that touch and never take it.
+
+    A path carries, per endpoint, its touch count (c), whether it took the
+    vertex (took) and the outcome of the k-th touch (kth, None before it).
+    Masses are summed leaf by leaf in event_probability's order, so they
+    match the events module's.
     """
     probe = [0.0, 0.0]
-    per_end = [[0.0] * 4 for _ in ends]
+    acc_a = [0.0] * 4
+    acc_b = [0.0] * 4
 
-    def step(node, ok, touches):
-        """Each endpoint's (touches, taken, t-th outcome) after probing node."""
-        return [
-            (c + 1, taken or ok, ok if c + 1 == k else kth) if gamma in (node.u, node.v)
-            else (c, taken, kth)
-            for (gamma, k), (c, taken, kth) in zip(ends, touches)
-        ]
-
-    def walk(node, prob, never, touches):
-        if node.is_leaf:
+    def walk(node, prob, never, ca, took_a, kth_a, cb, took_b, kth_b):
+        _, e, u, v, p, left, right, _ = node
+        if e is None:
             probe[never] += prob
-            for acc, (_, taken, kth) in zip(per_end, touches) if never else ():
-                acc[0 if taken else 3] += prob
-                if kth is not None:
-                    acc[1 if kth else 2] += prob
+            if never:
+                acc_a[0 if took_a else 3] += prob
+                if kth_a is not None:
+                    acc_a[1 if kth_a else 2] += prob
+                acc_b[0 if took_b else 3] += prob
+                if kth_b is not None:
+                    acc_b[1 if kth_b else 2] += prob
             return
-        never = never and node.edge != ab
-        walk(node.left, prob * node.p, never, step(node, True, touches))
-        walk(node.right, prob * (1.0 - node.p), never, step(node, False, touches))
+        never = never and e != ab
+        touch_a = u == alpha or v == alpha
+        touch_b = u == beta or v == beta
+        ca += touch_a
+        cb += touch_b
+        at_a = touch_a and ca == k_alpha
+        at_b = touch_b and cb == k_beta
+        walk(left, prob * p, never,
+             ca, took_a or touch_a, True if at_a else kth_a,
+             cb, took_b or touch_b, True if at_b else kth_b)
+        walk(right, prob * (1.0 - p), never,
+             ca, took_a, False if at_a else kth_a,
+             cb, took_b, False if at_b else kth_b)
 
-    walk(t, 1.0, True, [(0, False, None)] * len(ends))
-    return probe[0], probe[1], per_end
+    walk(t, 1.0, True, 0, False, None, 0, False, None)
+    return probe[0], probe[1], acc_a, acc_b
 
 
 @dataclass
@@ -285,7 +296,7 @@ def check_chain(inst, instance_id="", force=False):
     alpha, beta, p_ab = inst.edges[ab]
     r = (1.0 - p_ab) / p_ab
 
-    memo = {}
+    _, memo = optimal_value(inst, force)
     opt_tree = build_tree(inst, optimal_policy(inst, force=force, memo=memo), force=force)
     grd_tree = build_tree(inst, greedy_policy(inst), force=force)
     e_opt = subtree_value(opt_tree)
@@ -296,8 +307,9 @@ def check_chain(inst, instance_id="", force=False):
     e_algR = value_algR(inst, opt_tree, ab)
 
     # residual_RL, residual_RR and check_key_lemma on the walk's masses.
-    ends = ((alpha, inst.patience[alpha]), (beta, inst.patience[beta]))
-    p_probe, p_never, per_end = _path_masses(opt_tree, ab, ends)
+    p_probe, p_never, *per_end = _path_masses(
+        opt_tree, ab, alpha, inst.patience[alpha], beta, inst.patience[beta]
+    )
     pnot = 1.0 - p_probe
     w = max(pnot, 0.0)  # weight of a residual's conditional term
     # P(event | ab never probed), worth 0 where the condition has no mass.
@@ -314,10 +326,10 @@ def check_chain(inst, instance_id="", force=False):
 
     # Induction endpoints: the filtered policies are proper policies for the
     # states after ab succeeds and after it fails, so the optima of those
-    # states bound them from above.  The root solve left both in the memo.
-    rows = kernel(inst)
-    opt_left = state_value(inst, apply_success(rows, opt_tree.state, ab), memo)
-    opt_right = state_value(inst, apply_failure(rows, opt_tree.state, ab), memo)
+    # states bound them from above.  Greedy's root probes ab, so its children
+    # are those states, and the root solve left both in the memo.
+    opt_left = memo[grd_tree.left.state][0]
+    opt_right = memo[grd_tree.right.state][0]
 
     # Greedy recursion identity used by the final step of the chain.
     e_left_grd = subtree_value(grd_tree.left)

@@ -77,16 +77,21 @@ def optimal_policy(inst, force=False, memo=None):
     the policy is optimal on every state, reachable or not.  It fills memo if
     given.  A decision is one memo read; a key missing from the memo is
     checked (ValueError if it is not a canonical key of inst) and solved.
+    The transition rows are built on the first miss, so a policy over a memo
+    that already holds every state it is asked about never builds them.
     """
     inst.check_caps(force)
     memo = {} if memo is None else memo
     mask = (1 << inst.m) - 1
-    rows = kernel(inst)
+    rows = None
 
     def choose(key):
+        nonlocal rows
         entry = memo.get(key)
         if entry is None:
             check_key(inst, key)
+            if rows is None:
+                rows = kernel(inst)
             entry = _solve(key, mask, rows, memo)
         return entry[1]
 

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -140,6 +142,13 @@ class TestScan:
         main(["scan", "--count", "15", "--seed", "3", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_density_too_low_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--count", "1", "--n", "2", "--density", "1e-300", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: gnp with n=2")
+        assert not out.exists()
+
     def test_path_family_includes_known_ratio(self, tmp_path, capsys):
         # A scan over 4-vertex paths brushes against the known 1.1275 case.
         out = tmp_path / "paths.csv"
@@ -148,6 +157,50 @@ class TestScan:
         text = capsys.readouterr().out
         worst = float(next(l for l in text.splitlines() if l.startswith("worst_ratio")).split()[1])
         assert worst >= 1.0
+
+
+class TestGoldenScan:
+    """The scan CSV is pinned byte for byte across commits, not only between runs."""
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (
+                ["--count", "2000", "--seed", "1"],
+                "156ec2adbbd9a99a76a33bf21547d2377ae5383a791a1274da7bb794173d44eb",
+            ),
+            (
+                ["--count", "300", "--n", "6", "--puniform", "--seed", "3"],
+                "2d63b824c9bf27d2ccbb5fdfe7fd18ae22f3f525ecec6cc0b140b7d4a710ec39",
+            ),
+        ],
+        ids=["gnp-n5-seed1", "gnp-n6-puniform-seed3"],
+    )
+    def test_csv_sha256(self, tmp_path, capsys, argv, sha256):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+class TestClosedStdout:
+    def test_broken_pipe_exit_2(self, tmp_path):
+        # The read end is closed before the CLI starts, so its first write to
+        # stdout fails with EPIPE whatever the timing.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "stochmatch.cli", "scan", "--count", "5", "--seed", "1",
+                 "--out", str(tmp_path / "scan.csv")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
 
 
 class TestSimulate:

@@ -1,6 +1,11 @@
 import pytest
 
-from stochmatch.generator import P_GRID, GeneratorSpec, generate_instances
+from stochmatch.generator import (
+    MIN_NONEMPTY_CHANCE,
+    P_GRID,
+    GeneratorSpec,
+    generate_instances,
+)
 
 
 def test_deterministic_for_fixed_seed():
@@ -67,3 +72,17 @@ def test_invalid_specs_rejected():
         with pytest.raises(ValueError):
             GeneratorSpec(density=density)
     assert GeneratorSpec(density=1.0).density == 1.0
+
+
+def test_gnp_density_too_low_to_draw_an_edge_rejected():
+    # gnp redraws an empty graph: a draw that is almost never nonempty would
+    # loop for ever, so the spec is refused up front.
+    with pytest.raises(ValueError, match="below"):
+        GeneratorSpec(family="gnp", n=2, density=1e-300)
+    with pytest.raises(ValueError):
+        GeneratorSpec(family="gnp", n=10, density=MIN_NONEMPTY_CHANCE / 100)
+    # Just above the floor: n=2 draws its one edge with chance = density.
+    spec = GeneratorSpec(family="gnp", n=2, density=2 * MIN_NONEMPTY_CHANCE, seed=4)
+    assert all(inst.m == 1 for inst in generate_instances(spec, 3))
+    # Families that never draw an empty graph ignore the density.
+    assert GeneratorSpec(family="path", n=2, density=1e-300).density == 1e-300

@@ -7,6 +7,7 @@ from conftest import arbitrary_policy, leaf_probabilities, path_sum_value, rando
 
 from stochmatch.core import Instance, apply_failure, apply_success, initial_state, kernel
 from stochmatch.policy import (
+    TreeNode,
     build_tree,
     greedy_first_edge,
     greedy_policy,
@@ -96,6 +97,24 @@ def _distinct_nodes(t):
             if not node.is_leaf:
                 stack.extend((node.left, node.right))
     return seen
+
+
+class TestTreeNode:
+    def test_fields_in_order(self):
+        assert TreeNode._fields == ("state", "edge", "u", "v", "p", "left", "right", "value")
+
+    def test_immutable(self, p4):
+        t = build_tree(p4, greedy_policy(p4))
+        for name in TreeNode._fields:
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+
+    def test_equality_and_hash_compare_whole_subtrees(self, p4):
+        a = build_tree(p4, greedy_policy(p4))
+        b = build_tree(p4, greedy_policy(p4))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != build_tree(p4, optimal_policy(p4))
 
 
 class TestSharedSubtrees:

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import random_instances
 
+from stochmatch import solver
 from stochmatch.core import Instance
 from stochmatch.events import (
     Not,
@@ -240,6 +241,24 @@ class TestChain:
             report = check_chain(inst, f"rand-{i}")
             assert report.passed, (i, report.slacks, report.verdicts)
             assert 1.0 - 1e-12 <= report.ratio <= 2.0 + 1e-9
+
+    def test_solves_each_state_once(self, monkeypatch):
+        # One DP solve per check: _solve is entered once per memo state (its
+        # recursion calls through the module attribute, so every entry counts).
+        instances = random_instances(seed=51, count=50)
+        states = [len(optimal_value(inst)[1]) for inst in instances]
+        entered = []
+        solve = solver._solve
+
+        def counted(key, *args):
+            entered.append(key)
+            return solve(key, *args)
+
+        monkeypatch.setattr(solver, "_solve", counted)
+        for inst, count in zip(instances, states):
+            entered.clear()
+            check_chain(inst)
+            assert len(entered) == count
 
     def test_csv_row_shape(self, p4):
         report = check_chain(p4, "p4")

@@ -10,6 +10,7 @@ from conftest import (
     unpack_key,
 )
 
+from stochmatch import solver
 from stochmatch.core import (
     Instance,
     apply_failure,
@@ -189,6 +190,39 @@ class TestOptimalPolicy:
 
     def test_p4_avoids_middle(self, p4):
         assert optimal_policy(p4)(initial_state(p4)) == 0
+
+    def test_warm_memo_never_builds_rows(self, monkeypatch):
+        instances = random_instances(seed=25, count=20)
+        solved = [optimal_value(inst) for inst in instances]
+
+        def no_rows(inst):
+            raise AssertionError("kernel built for a memo that holds every state")
+
+        monkeypatch.setattr(solver, "kernel", no_rows)
+        for inst, (value, memo) in zip(instances, solved):
+            assert build_tree(inst, optimal_policy(inst, memo=memo)).value == value
+
+    def test_cold_policy_builds_rows_once(self, monkeypatch, p4):
+        built = []
+
+        def counted(inst):
+            built.append(inst)
+            return kernel(inst)
+
+        monkeypatch.setattr(solver, "kernel", counted)
+        memo = {}
+        pol = optimal_policy(p4, memo=memo)
+        assert built == []
+        rows, root = kernel(p4), initial_state(p4)
+        # After a-b or c-d succeeds only the other end edge is left: two
+        # disjoint states, then the root, each a memo miss.
+        keys = [apply_success(rows, root, 0), apply_success(rows, root, 2), root]
+        misses = 0
+        for key in keys:
+            misses += key not in memo
+            pol(key)
+        assert misses == 3
+        assert built == [p4]
 
     def test_k4_certain_probes_perfect_matching(self):
         k4 = Instance(
