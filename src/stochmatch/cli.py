@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 property violation (a checked relation failed),
-2 usage or parse error, an instance too large to evaluate, or a standard
-output closed before everything was written (as in `stochmatch scan ... |
-head -1`).
+2 usage, parse or output-file error, a solve or tree past the state budget
+(core.MAX_STATES; --force lifts it), recursion depth or memory run out, or a
+standard output closed early (as in `stochmatch scan ... | head -1`).
 """
 
 from __future__ import annotations
@@ -120,25 +120,25 @@ def cmd_scan(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     start = time.monotonic()
-    instances = generate_instances(spec, args.count)
-    rows = []
     failures = []
     worst_ratio = 0.0
     worst_inst = None
-    for i, inst in enumerate(instances):
-        report = check_chain(inst, instance_id=f"{args.family}-{args.seed}-{i}", force=args.force)
-        rows.append(report.csv_row())
-        if not report.passed:
-            failures.append(report.instance_id)
-        if report.ratio > worst_ratio:
-            worst_ratio = report.ratio
-            worst_inst = inst
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(ChainReport.csv_header()) + "\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+            f.write(",".join(ChainReport.csv_header()) + "\n")
+            for i, inst in enumerate(generate_instances(spec, args.count)):
+                report = check_chain(inst, f"{args.family}-{args.seed}-{i}", args.force)
+                f.write(",".join(report.csv_row()) + "\n")
+                if not report.passed:
+                    failures.append(report.instance_id)
+                if report.ratio > worst_ratio:
+                    worst_ratio = report.ratio
+                    worst_inst = inst
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.monotonic() - start
-    print(f"instances {len(instances)}")
+    print(f"instances {args.count}")
     print(f"failures {len(failures)}" + (f" ({', '.join(failures)})" if failures else ""))
     if worst_inst is not None:
         print(f"worst_ratio {_fmt(worst_ratio)}")
@@ -169,7 +169,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_force(p):
-        p.add_argument("--force", action="store_true", help="override size caps")
+        p.add_argument("--force", action="store_true", help="lift the state budget (MAX_STATES)")
 
     p_eval = sub.add_parser("eval", help="print a policy's exact expected value")
     p_eval.add_argument("--instance", required=True)

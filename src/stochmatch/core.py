@@ -9,12 +9,13 @@ to a child key.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
-# Default size caps keeping exact tree/DP evaluation tractable.
-MAX_EDGES = 24
-MAX_TOTAL_PATIENCE = 64
+# States a solve's memo or a decision tree may hold unless forced.  A memo entry
+# costs about 170 B of RSS and a tree node 235 B, so a refusal stops below 250 MiB.
+MAX_STATES = 1_000_000
 
 
 class InstanceError(Exception):
@@ -29,7 +30,7 @@ class InstanceError(Exception):
 
 
 class SizeCapError(Exception):
-    """Instance exceeds the size caps for exact evaluation."""
+    """A solve or tree build needs more than MAX_STATES states (force lifts it)."""
 
 
 @dataclass(frozen=True)
@@ -66,16 +67,10 @@ class Instance:
     def m(self):
         return len(self.edges)
 
-    def check_caps(self, force=False):
-        """Raise SizeCapError if the instance is too large for exact work."""
-        if force:
-            return
-        if self.m > MAX_EDGES:
-            raise SizeCapError(f"{self.m} edges exceeds cap of {MAX_EDGES}")
-        if sum(self.patience) > MAX_TOTAL_PATIENCE:
-            raise SizeCapError(
-                f"total patience {sum(self.patience)} exceeds cap of {MAX_TOTAL_PATIENCE}"
-            )
+
+def state_budget(force=False):
+    """MAX_STATES, read at each call so that tests can lower it; no limit if force."""
+    return math.inf if force else MAX_STATES
 
 
 def parse_instance(text):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import apply_failure, apply_success, initial_state, kernel
+from .core import SizeCapError, apply_failure, apply_success, initial_state, kernel, state_budget
 
 
 class TreeNode(NamedTuple):
@@ -64,13 +64,13 @@ def build_tree(inst, pol, force=False):
 
     A policy is a function of the state key, so equal states get the same
     subtree: each distinct state is handed to the policy and built once, and
-    its node is shared by every path that reaches it.
+    its node is shared by every path that reaches it.  Beyond core.MAX_STATES
+    nodes: SizeCapError, unless force.
     """
-    inst.check_caps(force)
-    return _build(inst, kernel(inst), pol, initial_state(inst), {})
+    return _build(inst, kernel(inst), pol, initial_state(inst), {}, state_budget(force))
 
 
-def _build(inst, rows, pol, key, nodes):
+def _build(inst, rows, pol, key, nodes, limit):
     """The node of state key, built once per state and kept in nodes.
 
     A module-level function rather than a closure, so no reference cycle
@@ -86,10 +86,12 @@ def _build(inst, rows, pol, key, nodes):
         node = TreeNode(key)
     else:
         u, v, p = inst.edges[e]
-        left = _build(inst, rows, pol, apply_success(rows, key, e), nodes)
-        right = _build(inst, rows, pol, apply_failure(rows, key, e), nodes)
+        left = _build(inst, rows, pol, apply_success(rows, key, e), nodes, limit)
+        right = _build(inst, rows, pol, apply_failure(rows, key, e), nodes, limit)
         value = p * (1.0 + left.value) + (1.0 - p) * right.value
         node = TreeNode(key, e, u, v, p, left, right, value)
+    if len(nodes) >= limit:
+        raise SizeCapError(f"the decision tree needs more than {limit:,} nodes")
     nodes[key] = node
     return node
 

@@ -13,18 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import check_key, initial_state, kernel
+from .core import SizeCapError, check_key, initial_state, kernel, state_budget
 
 LEMMA_TOL = 1e-9
 
 
-def _solve(key, mask, rows, memo):
+def _solve(key, mask, rows, memo, limit):
     """(value, best edge or None) of a canonical packed state not yet in memo.
 
     Every alive edge of a canonical key is probeable, and both children are
     canonical again.  Alive edges are tried in ascending index order and only
     a strictly larger value replaces the best, so argmax ties break by lowest
-    index.
+    index.  SizeCapError rather than store more than limit states, so each
+    entry memo keeps is solved in full.
     """
     best_val = 0.0
     best_edge = None
@@ -40,12 +41,14 @@ def _solve(key, mask, rows, memo):
             fail -= fail & ou
         if fail & ov and not fail & fv:
             fail -= fail & ov
-        vs = (memo.get(succ) or _solve(succ, mask, rows, memo))[0]
-        vf = (memo.get(fail) or _solve(fail, mask, rows, memo))[0]
+        vs = (memo.get(succ) or _solve(succ, mask, rows, memo, limit))[0]
+        vf = (memo.get(fail) or _solve(fail, mask, rows, memo, limit))[0]
         val = p * (1.0 + vs) + q * vf
         if val > best_val:
             best_val = val
             best_edge = e
+    if len(memo) >= limit:
+        raise SizeCapError(f"the solve needs more than {limit:,} states")
     entry = memo[key] = (best_val, best_edge)
     return entry
 
@@ -55,19 +58,20 @@ def optimal_value(inst, force=False):
 
     The memo maps canonical packed state keys (see core.kernel) to (value,
     best edge or None); state_value and optimal_policy key a shared memo the
-    same way.
+    same way.  Beyond core.MAX_STATES states: SizeCapError, unless force.
     """
-    inst.check_caps(force)
     memo = {}
-    value, _ = _solve(initial_state(inst), (1 << inst.m) - 1, kernel(inst), memo)
+    mask, limit = (1 << inst.m) - 1, state_budget(force)
+    value, _ = _solve(initial_state(inst), mask, kernel(inst), memo, limit)
     return value, memo
 
 
-def state_value(inst, key, memo=None):
+def state_value(inst, key, memo=None, force=False):
     """Optimal value of a canonical state key (lazy; shares memo if given)."""
     check_key(inst, key)
     memo = {} if memo is None else memo
-    return (memo.get(key) or _solve(key, (1 << inst.m) - 1, kernel(inst), memo))[0]
+    mask, limit = (1 << inst.m) - 1, state_budget(force)
+    return (memo.get(key) or _solve(key, mask, kernel(inst), memo, limit))[0]
 
 
 def optimal_policy(inst, force=False, memo=None):
@@ -79,10 +83,10 @@ def optimal_policy(inst, force=False, memo=None):
     checked (ValueError if it is not a canonical key of inst) and solved.
     The transition rows are built on the first miss, so a policy over a memo
     that already holds every state it is asked about never builds them.
+    The state budget is core.MAX_STATES when the policy is made, or force.
     """
-    inst.check_caps(force)
     memo = {} if memo is None else memo
-    mask = (1 << inst.m) - 1
+    mask, limit = (1 << inst.m) - 1, state_budget(force)
     rows = None
 
     def choose(key):
@@ -92,7 +96,7 @@ def optimal_policy(inst, force=False, memo=None):
             check_key(inst, key)
             if rows is None:
                 rows = kernel(inst)
-            entry = _solve(key, mask, rows, memo)
+            entry = _solve(key, mask, rows, memo, limit)
         return entry[1]
 
     return choose

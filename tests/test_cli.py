@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stochmatch import cli
+from stochmatch import cli, core
 from stochmatch.cli import main
 from stochmatch.core import Instance, format_instance
 
@@ -21,6 +21,14 @@ DISJOINT = "stochmatch 1\n4 2\n1 1 1 1\n0 1 0.9\n2 3 0.8\n"
 # 1,000 disjoint edges: 1,001 states, but every evaluator recurses 1,000 deep.
 DEEP = "stochmatch 1\n2000 1000\n" + " ".join(["1"] * 2000) + "\n" + "".join(
     f"{2 * i} {2 * i + 1} 0.5\n" for i in range(1000)
+)
+# 24 disjoint edges at patience 1: 2^24 DP states.
+DISJOINT24 = "stochmatch 1\n48 24\n" + " ".join(["1"] * 48) + "\n" + "".join(
+    f"{2 * i} {2 * i + 1} 0.5\n" for i in range(24)
+)
+# The patience-1 star on 40 leaves: 40 edges but 41 DP states.
+STAR40 = "stochmatch 1\n41 40\n" + " ".join(["1"] * 41) + "\n" + "".join(
+    f"0 {i} 0.5\n" for i in range(1, 41)
 )
 
 
@@ -103,9 +111,11 @@ class TestCheck:
 
 
 class TestTooLarge:
-    @pytest.mark.parametrize("argv", [["ratio"], ["eval"], ["check"]])
+    @pytest.mark.parametrize(
+        "argv", [["ratio", "--force"], ["eval", "--force"], ["check", "--force"], ["ratio"]]
+    )
     def test_deep_instance_exit_2(self, argv, write, capsys):
-        assert main(argv + ["--force", "--instance", write(DEEP)]) == 2
+        assert main(argv + ["--instance", write(DEEP)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -117,6 +127,31 @@ class TestTooLarge:
         monkeypatch.setattr(cli, "optimal_value", exhausted)
         assert main(["ratio", "--instance", write(P4)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestStateBudget:
+    @pytest.mark.parametrize("command", ["ratio", "check"])
+    def test_star40_answered_without_force(self, command, write, capsys):
+        assert main([command, "--instance", write(STAR40)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_ratio_past_budget_exit_2(self, write, capsys, monkeypatch):
+        monkeypatch.setattr(core, "MAX_STATES", 2)
+        path = write(P4)
+        assert main(["ratio", "--instance", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "use --force" in captured.err
+        assert main(["ratio", "--instance", path, "--force"]) == 0
+        assert "ratio 1.127500000000" in capsys.readouterr().out
+
+    def test_disjoint24_refused(self, write, capsys, monkeypatch):
+        # The default budget refuses it after 1,000,000 states (seconds);
+        # a lower one shows the same refusal quickly.
+        monkeypatch.setattr(core, "MAX_STATES", 10_000)
+        assert main(["ratio", "--instance", write(DISJOINT24)]) == 2
+        assert capsys.readouterr().err.startswith("error: the solve needs more than 10,000 states")
 
 
 class TestScan:
@@ -148,6 +183,18 @@ class TestScan:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: gnp with n=2")
         assert not out.exists()
+
+    def test_unwritable_out_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_instances(spec, count):
+            raise AssertionError("instances generated before --out was opened")
+
+        monkeypatch.setattr(cli, "generate_instances", no_instances)
+        argv = ["scan", "--count", "1", "--out", str(tmp_path / "missing" / "x.csv")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "missing" in captured.err
 
     def test_path_family_includes_known_ratio(self, tmp_path, capsys):
         # A scan over 4-vertex paths brushes against the known 1.1275 case.

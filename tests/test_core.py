@@ -15,6 +15,7 @@ from conftest import (
     unpack_key,
 )
 
+from stochmatch import core
 from stochmatch.core import (
     Instance,
     InstanceError,
@@ -27,6 +28,9 @@ from stochmatch.core import (
     parse_instance,
     probeable_edges,
 )
+from stochmatch.policy import build_tree, greedy_policy, policy_value
+from stochmatch.proofcheck import check_chain
+from stochmatch.solver import optimal_policy, optimal_value, state_value
 
 SINGLE = "stochmatch 1\n2 1\n1 1\n0 1 0.5\n"
 
@@ -198,16 +202,6 @@ class TestInvariants:
                     assert after < before
                     stack.append(nxt)
 
-    def test_caps(self):
-        big = Instance(
-            n=10,
-            edges=tuple((u, v, 0.5) for u in range(10) for v in range(u + 1, 10))[:25],
-            patience=(3,) * 10,
-        )
-        with pytest.raises(SizeCapError):
-            big.check_caps()
-        big.check_caps(force=True)
-
     def test_invalid_instances_rejected(self):
         with pytest.raises(ValueError):
             Instance(n=2, edges=((0, 1, 0.0),), patience=(1, 1))
@@ -215,3 +209,53 @@ class TestInvariants:
             Instance(n=2, edges=((1, 0, 0.5),), patience=(1, 1))
         with pytest.raises(ValueError):
             Instance(n=2, edges=((0, 1, 0.5),), patience=(0, 1))
+
+
+class TestStateBudget:
+    """core.MAX_STATES bounds the states a solve stores and the nodes a tree
+    holds (see test_policy for the node count); it is read when the work
+    starts, and force lifts it."""
+
+    ENTRY_POINTS = {
+        "optimal_value": lambda inst, force: optimal_value(inst, force=force),
+        "state_value": lambda inst, force: state_value(inst, initial_state(inst), force=force),
+        "optimal_policy": lambda inst, force: optimal_policy(inst, force=force)(
+            initial_state(inst)
+        ),
+        "build_tree": lambda inst, force: build_tree(inst, greedy_policy(inst), force=force),
+        "policy_value": lambda inst, force: policy_value(inst, greedy_policy(inst), force=force),
+        "check_chain": lambda inst, force: check_chain(inst, force=force),
+    }
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_refused_unless_forced(self, name, p4, monkeypatch):
+        run = self.ENTRY_POINTS[name]
+        expected = run(p4, False)
+        monkeypatch.setattr(core, "MAX_STATES", 2)
+        with pytest.raises(SizeCapError):
+            run(p4, False)
+        assert run(p4, True) == expected
+
+    def test_solve_at_budget_and_one_past(self, p4, monkeypatch):
+        value, memo = optimal_value(p4)
+        monkeypatch.setattr(core, "MAX_STATES", len(memo))
+        assert optimal_value(p4) == (value, memo)
+        monkeypatch.setattr(core, "MAX_STATES", len(memo) - 1)
+        with pytest.raises(SizeCapError, match=f"more than {len(memo) - 1} states"):
+            optimal_value(p4)
+
+    def test_refusal_keeps_only_solved_entries(self, monkeypatch):
+        k5 = Instance(
+            n=5,
+            edges=tuple((u, v, 0.1 * (u + v + 1)) for u in range(5) for v in range(u + 1, 5)),
+            patience=(2,) * 5,
+        )
+        _, full = optimal_value(k5)
+        budget = len(full) // 2
+        memo = {}
+        monkeypatch.setattr(core, "MAX_STATES", budget)
+        choose = optimal_policy(k5, memo=memo)
+        with pytest.raises(SizeCapError):
+            choose(initial_state(k5))
+        assert len(memo) == budget
+        assert all(full[key] == entry for key, entry in memo.items())

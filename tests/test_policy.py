@@ -5,7 +5,15 @@ import pytest
 
 from conftest import arbitrary_policy, leaf_probabilities, path_sum_value, random_instances
 
-from stochmatch.core import Instance, apply_failure, apply_success, initial_state, kernel
+from stochmatch import core
+from stochmatch.core import (
+    Instance,
+    SizeCapError,
+    apply_failure,
+    apply_success,
+    initial_state,
+    kernel,
+)
 from stochmatch.policy import (
     TreeNode,
     build_tree,
@@ -144,6 +152,16 @@ class TestSharedSubtrees:
                 gc.enable()
         assert tree_value(t) > 0.0
 
+    def test_node_budget_at_count_and_one_below(self, p4, monkeypatch):
+        # _build stores at most core.MAX_STATES nodes, read when the build starts.
+        tree = build_tree(p4, greedy_policy(p4))
+        nodes = len(_distinct_nodes(tree))
+        monkeypatch.setattr(core, "MAX_STATES", nodes)
+        assert build_tree(p4, greedy_policy(p4)) == tree
+        monkeypatch.setattr(core, "MAX_STATES", nodes - 1)
+        with pytest.raises(SizeCapError, match=f"more than {nodes - 1} nodes"):
+            build_tree(p4, greedy_policy(p4))
+        assert build_tree(p4, greedy_policy(p4), force=True) == tree
 
 class TestValues:
     def test_single_edge_value(self, single_edge):
