@@ -56,7 +56,7 @@ def greedy_first_edge(inst):
     """Greedy's first probe: the max-probability edge, lowest index on ties."""
     if inst.m == 0:
         raise ValueError("instance has no edges")
-    return min(range(inst.m), key=lambda e: (-inst.edges[e][2], e))
+    return greedy_policy(inst)(initial_state(inst))
 
 
 def build_tree(inst, pol, force=False):

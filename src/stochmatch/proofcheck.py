@@ -4,12 +4,14 @@ Everything here works on explicit decision trees of the optimal policy for a
 concrete instance.  The checked chain bounds the optimum by two filtered
 policies (one for the instance after greedy's first probe succeeds, one for
 after it fails) plus closed-form residuals, and ends at the factor-2 bound
-against greedy.  check_chain solves the DP once, builds the optimal tree
-over that memo and computes its path events in one walk of the tree.  The
-induction endpoints are the memo's values at greedy's root children, the
-states after greedy's first probe ab succeeds and after it fails.  The events
-module, through residual_RL, residual_RR and check_key_lemma, is the
-reference specification of those events.
+against greedy.  check_chain solves the DP once and builds the optimal tree
+over that memo.  One walk of that tree gives OPT' (descend left at ab), the
+filtered values ALG_L and ALG_R, and the path-event masses; the public
+transform_optprime, value_algL and value_algR read one value each from the
+same walk.  The induction endpoints are the memo's values at greedy's root
+children, the states after greedy's first probe ab succeeds and after it
+fails.  The events module, through residual_RL, residual_RR and
+check_key_lemma, is the reference specification of those events.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .events import (
     conditional_probability,
     event_probability,
 )
-from .policy import build_tree, greedy_first_edge, greedy_policy, subtree_value
+from .policy import build_tree, greedy_policy, subtree_value
 from .solver import optimal_policy, optimal_value
 
 TOL = 1e-9
@@ -52,15 +54,7 @@ def transform_optprime(t, ab):
     At a node probing ab the subtree contributes p_ab plus its left subtree's
     value with full weight; all other nodes are unchanged.
     """
-
-    def value(node):
-        if node.is_leaf:
-            return 0.0
-        if node.edge == ab:
-            return node.p + value(node.left)
-        return node.p * (1.0 + value(node.left)) + (1.0 - node.p) * value(node.right)
-
-    return value(t)
+    return _walk(t, ab, None, 0, None, 0)[0]
 
 
 def value_algL(t, ab, alpha, beta):
@@ -69,18 +63,7 @@ def value_algL(t, ab, alpha, beta):
     Muted nodes contribute nothing but still branch with their original
     probabilities; nodes probing ab descend left with weight 1.
     """
-
-    def value(node):
-        if node.is_leaf:
-            return 0.0
-        if node.edge == ab:
-            return value(node.left)
-        contrib = node.p * value(node.left) + (1.0 - node.p) * value(node.right)
-        if node.u in (alpha, beta) or node.v in (alpha, beta):
-            return contrib
-        return node.p + contrib
-
-    return value(t)
+    return _walk(t, ab, alpha, 0, beta, 0)[1]
 
 
 def _cond_times(t, pnot, a, not_probe):
@@ -115,25 +98,7 @@ def value_algR(inst, t, ab):
     probabilities.
     """
     alpha, beta, _ = inst.edges[ab]
-    t_alpha = inst.patience[alpha]
-    t_beta = inst.patience[beta]
-
-    def value(node, count_a, count_b, seen_ab):
-        if node.is_leaf:
-            return 0.0
-        ca = count_a + (1 if node.u == alpha or node.v == alpha else 0)
-        cb = count_b + (1 if node.u == beta or node.v == beta else 0)
-        invalid = node.edge == ab or (
-            not seen_ab
-            and ((ca > count_a and ca == t_alpha) or (cb > count_b and cb == t_beta))
-        )
-        seen = seen_ab or node.edge == ab
-        contrib = node.p * value(node.left, ca, cb, seen) + (1.0 - node.p) * value(
-            node.right, ca, cb, seen
-        )
-        return contrib if invalid else node.p + contrib
-
-    return value(t, 0, 0, False)
+    return _walk(t, ab, alpha, inst.patience[alpha], beta, inst.patience[beta])[2]
 
 
 def residual_RR(t, ab, alpha, beta, t_alpha, t_beta, p_ab):
@@ -194,15 +159,20 @@ def check_key_lemma(t, inst, gamma, ab):
     return KeyLemmaResult(lhs=lhs, rhs_lemma=c_fail_kth, rhs_corollary=c_not_take)
 
 
-def _path_masses(t, ab, alpha, k_alpha, beta, k_beta):
-    """P(ab probed), P(ab never probed) and, for alpha at its k_alpha-th touch
-    and beta at its k_beta-th, the masses of never-probed paths that take the
-    vertex, take it at that touch, fail that touch and never take it.
+def _walk(t, ab, alpha, k_alpha, beta, k_beta):
+    """OPT', ALG_L, ALG_R and the path masses of t, from one walk.
 
-    A path carries, per endpoint, its touch count (c), whether it took the
-    vertex (took) and the outcome of the k-th touch (kth, None before it).
-    Masses are summed leaf by leaf in event_probability's order, so they
-    match the events module's.
+    Returns transform_optprime's, value_algL's and value_algR's values (with
+    ALG_R muting alpha's k_alpha-th and beta's k_beta-th touch), P(ab probed),
+    P(ab never probed) and, for alpha and for beta, the masses of
+    never-probed paths that take the vertex, take it at the k-th touch, fail
+    that touch and never take it.
+
+    Going down, a path carries whether ab is still unprobed (never) and, per
+    endpoint, its touch count (c), whether it took the vertex (took) and the
+    k-th touch's outcome (kth, None before it).  Leaf masses are summed in
+    event_probability's order, so they match the events module's.  Coming
+    up, each node combines its children's three values.
     """
     probe = [0.0, 0.0]
     acc_a = [0.0] * 4
@@ -219,23 +189,35 @@ def _path_masses(t, ab, alpha, k_alpha, beta, k_beta):
                 acc_b[0 if took_b else 3] += prob
                 if kth_b is not None:
                     acc_b[1 if kth_b else 2] += prob
-            return
-        never = never and e != ab
+            return 0.0, 0.0, 0.0
+        is_ab = e == ab
+        never = never and not is_ab
         touch_a = u == alpha or v == alpha
         touch_b = u == beta or v == beta
         ca += touch_a
         cb += touch_b
         at_a = touch_a and ca == k_alpha
         at_b = touch_b and cb == k_beta
-        walk(left, prob * p, never,
-             ca, took_a or touch_a, True if at_a else kth_a,
-             cb, took_b or touch_b, True if at_b else kth_b)
-        walk(right, prob * (1.0 - p), never,
-             ca, took_a, False if at_a else kth_a,
-             cb, took_b, False if at_b else kth_b)
+        opt_l, alg_l_l, alg_r_l = walk(left, prob * p, never,
+                                       ca, took_a or touch_a, True if at_a else kth_a,
+                                       cb, took_b or touch_b, True if at_b else kth_b)
+        opt_r, alg_l_r, alg_r_r = walk(right, prob * (1.0 - p), never,
+                                       ca, took_a, False if at_a else kth_a,
+                                       cb, took_b, False if at_b else kth_b)
+        if is_ab:
+            opt, alg_l = p + opt_l, alg_l_l
+        else:
+            opt = p * (1.0 + opt_l) + (1.0 - p) * opt_r
+            alg_l = p * alg_l_l + (1.0 - p) * alg_l_r
+            if not (touch_a or touch_b):
+                alg_l = p + alg_l
+        alg_r = p * alg_r_l + (1.0 - p) * alg_r_r
+        if not (is_ab or (never and (at_a or at_b))):
+            alg_r = p + alg_r
+        return opt, alg_l, alg_r
 
-    walk(t, 1.0, True, 0, False, None, 0, False, None)
-    return probe[0], probe[1], acc_a, acc_b
+    values = walk(t, 1.0, True, 0, False, None, 0, False, None)
+    return (*values, probe[0], probe[1], acc_a, acc_b)
 
 
 @dataclass
@@ -291,22 +273,20 @@ def check_chain(inst, instance_id="", force=False):
     if inst.m == 0:
         raise ValueError("chain check requires at least one edge")
 
-    ab = greedy_first_edge(inst)
+    # Greedy's root probes its first edge, the max-probability edge ab.
+    grd_tree = build_tree(inst, greedy_policy(inst), force=force)
+    ab = grd_tree.edge
     alpha, beta, p_ab = inst.edges[ab]
     r = (1.0 - p_ab) / p_ab
 
     _, memo = optimal_value(inst, force)
     opt_tree = build_tree(inst, optimal_policy(inst, force=force, memo=memo), force=force)
-    grd_tree = build_tree(inst, greedy_policy(inst), force=force)
     e_opt = subtree_value(opt_tree)
     e_grd = subtree_value(grd_tree)
 
-    e_optprime = transform_optprime(opt_tree, ab)
-    e_algL = value_algL(opt_tree, ab, alpha, beta)
-    e_algR = value_algR(inst, opt_tree, ab)
-
-    # residual_RL, residual_RR and check_key_lemma on the walk's masses.
-    p_probe, p_never, *per_end = _path_masses(
+    # One walk of the optimal tree: the transformed and filtered values, and
+    # the masses that residual_RL, residual_RR and check_key_lemma define.
+    e_optprime, e_algL, e_algR, p_probe, p_never, *per_end = _walk(
         opt_tree, ab, alpha, inst.patience[alpha], beta, inst.patience[beta]
     )
     pnot = 1.0 - p_probe

@@ -157,12 +157,15 @@ class OptimalityReport:
         return not self.violations
 
 
-def check_subtree_optimality(inst, t):
-    """Check that each distinct subtree's value matches the optimum of its state."""
+def check_subtree_optimality(inst, t, force=False):
+    """Check that each distinct subtree's value matches the optimum of its state.
+
+    The states are solved under core.MAX_STATES, or with no budget if force.
+    """
     report = OptimalityReport()
     memo = {}
     for node, path in _first_paths(t):
-        opt = state_value(inst, node.state, memo)
+        opt = state_value(inst, node.state, memo, force)
         gap = abs(opt - node.value)
         report.nodes_checked += 1
         report.max_gap = max(report.max_gap, gap)

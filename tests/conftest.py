@@ -270,3 +270,76 @@ def brute_force_greedy(edges, patience):
                 1.0 - p
             ) * brute_force_greedy(fail_edges, fail_pat)
     return 0.0
+
+
+# Reference values of OPT', ALG_L and ALG_R: a separate recursion for each,
+# so the tests compare proofcheck's combined walk with code it does not share.
+
+
+def reference_optprime(t, ab):
+    """Value of the tree modified to descend left after every probe of ab.
+
+    At a node probing ab the subtree contributes p_ab plus its left subtree's
+    value with full weight; all other nodes are unchanged.
+    """
+
+    def value(node):
+        if node.is_leaf:
+            return 0.0
+        if node.edge == ab:
+            return node.p + value(node.left)
+        return node.p * (1.0 + value(node.left)) + (1.0 - node.p) * value(node.right)
+
+    return value(t)
+
+
+def reference_algL(t, ab, alpha, beta):
+    """Value of the modified tree with all probes touching alpha or beta muted.
+
+    Muted nodes contribute nothing but still branch with their original
+    probabilities; nodes probing ab descend left with weight 1.
+    """
+
+    def value(node):
+        if node.is_leaf:
+            return 0.0
+        if node.edge == ab:
+            return value(node.left)
+        contrib = node.p * value(node.left) + (1.0 - node.p) * value(node.right)
+        if node.u in (alpha, beta) or node.v in (alpha, beta):
+            return contrib
+        return node.p + contrib
+
+    return value(t)
+
+
+def reference_algR(inst, t, ab):
+    """Value of the tree with probes invalid on the failure-reduced instance muted.
+
+    A probe is invalid if it is ab itself, or ab has not been probed earlier
+    on the path and this is the t_alpha-th probe touching alpha or the
+    t_beta-th probe touching beta.  Once ab is probed, the endpoint patience
+    of the reduced instance aligns with the original and every later probe is
+    valid.  Invalid probes contribute nothing but branch with their original
+    probabilities.
+    """
+    alpha, beta, _ = inst.edges[ab]
+    t_alpha = inst.patience[alpha]
+    t_beta = inst.patience[beta]
+
+    def value(node, count_a, count_b, seen_ab):
+        if node.is_leaf:
+            return 0.0
+        ca = count_a + (1 if node.u == alpha or node.v == alpha else 0)
+        cb = count_b + (1 if node.u == beta or node.v == beta else 0)
+        invalid = node.edge == ab or (
+            not seen_ab
+            and ((ca > count_a and ca == t_alpha) or (cb > count_b and cb == t_beta))
+        )
+        seen = seen_ab or node.edge == ab
+        contrib = node.p * value(node.left, ca, cb, seen) + (1.0 - node.p) * value(
+            node.right, ca, cb, seen
+        )
+        return contrib if invalid else node.p + contrib
+
+    return value(t, 0, 0, False)

@@ -30,7 +30,12 @@ from stochmatch.core import (
 )
 from stochmatch.policy import build_tree, greedy_policy, policy_value
 from stochmatch.proofcheck import check_chain
-from stochmatch.solver import optimal_policy, optimal_value, state_value
+from stochmatch.solver import (
+    check_subtree_optimality,
+    optimal_policy,
+    optimal_value,
+    state_value,
+)
 
 SINGLE = "stochmatch 1\n2 1\n1 1\n0 1 0.5\n"
 
@@ -259,3 +264,16 @@ class TestStateBudget:
             choose(initial_state(k5))
         assert len(memo) == budget
         assert all(full[key] == entry for key, entry in memo.items())
+
+    def test_subtree_optimality_under_force(self, p4, monkeypatch):
+        # A tree built with force is checked with force, not under the budget.
+        # Greedy is not optimal on P4, so its report has violations.
+        expected = check_subtree_optimality(p4, build_tree(p4, greedy_policy(p4)))
+        assert not expected.ok
+        monkeypatch.setattr(core, "MAX_STATES", 2)
+        t = build_tree(p4, greedy_policy(p4), force=True)
+        assert check_subtree_optimality(p4, t, force=True) == expected
+        with pytest.raises(SizeCapError):
+            check_subtree_optimality(p4, t)
+        opt = build_tree(p4, optimal_policy(p4, force=True), force=True)
+        assert check_subtree_optimality(p4, opt, force=True).ok

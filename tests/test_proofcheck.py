@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_instances
+from conftest import random_instances, reference_algL, reference_algR, reference_optprime
 
 from stochmatch import solver
 from stochmatch.core import Instance
@@ -270,7 +270,8 @@ class TestChain:
 
 
 class TestChainMatchesReference:
-    """check_chain's one-walk quantities equal the events-algebra reference."""
+    """check_chain's one-walk quantities equal the events-algebra reference
+    and conftest's recursive value oracles."""
 
     def test_exactly_equal(self, single_edge):
         # On the single edge ab is always probed, so the conditionals on "ab
@@ -290,6 +291,15 @@ class TestChainMatchesReference:
                 c = conditional_probability(t, a, not_probe)
                 return 0.0 if c is None else c
 
+            e_optprime = reference_optprime(t, ab)
+            e_algL = reference_algL(t, ab, alpha, beta)
+            e_algR = reference_algR(inst, t, ab)
+            assert report.e_optprime == e_optprime
+            assert report.e_algL == e_algL
+            assert report.e_algR == e_algR
+            assert transform_optprime(t, ab) == e_optprime
+            assert value_algL(t, ab, alpha, beta) == e_algL
+            assert value_algR(inst, t, ab) == e_algR
             assert report.p_probe_ab == event_probability(t, ProbesEdge(ab))
             assert report.e_RL == residual_RL(t, ab, alpha, beta, p_ab)
             assert report.e_RR == residual_RR(t, ab, alpha, beta, t_alpha, t_beta, p_ab)
