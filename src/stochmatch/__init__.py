@@ -22,13 +22,13 @@ from .policy import (
     policy_value,
     tree_value,
 )
-from .proofcheck import ChainReport, check_chain
-from .solver import (
+from .proofcheck import (
+    ChainReport,
+    check_chain,
     check_lemma31,
     check_subtree_optimality,
-    optimal_policy,
-    optimal_value,
 )
+from .solver import optimal_policy, optimal_value
 
 __all__ = [
     "ChainReport",

@@ -17,10 +17,8 @@ from .core import InstanceError, SizeCapError, format_instance, parse_instance
 from .generator import GeneratorSpec, generate_instances
 from .montecarlo import simulate
 from .policy import build_tree, greedy_policy, tree_value
-from .proofcheck import ChainReport, check_chain
+from .proofcheck import TOL, ChainReport, check_chain
 from .solver import optimal_policy, optimal_value
-
-RATIO_TOL = 1e-9
 
 
 def _fmt(value):
@@ -58,6 +56,9 @@ def _load_instance(path):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        sys.exit(2)
     try:
         return parse_instance(text)
     except InstanceError as exc:
@@ -90,7 +91,7 @@ def cmd_ratio(args):
     print(f"opt {_fmt(e_opt)}")
     print(f"grd {_fmt(e_grd)}")
     print(f"ratio {_fmt(ratio)}")
-    return 1 if ratio > 2.0 + RATIO_TOL else 0
+    return 1 if ratio > 2.0 + TOL else 0
 
 
 def cmd_check(args):

@@ -38,7 +38,8 @@ class Instance:
     """Graph with edge probabilities and vertex patience numbers.
 
     Vertices are 0..n-1; edges keep their construction order and are
-    identified by index for the instance's whole lifetime.
+    identified by index for the instance's whole lifetime.  n, the endpoints
+    and the patience numbers must be ints; p may be any real in range.
     """
 
     n: int
@@ -46,12 +47,16 @@ class Instance:
     patience: tuple  # length n, each >= 1
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise ValueError("vertex count must be an int")
         if self.n < 0:
             raise ValueError("negative vertex count")
         if len(self.patience) != self.n:
             raise ValueError("patience length must equal vertex count")
         seen = set()
         for i, (u, v, p) in enumerate(self.edges):
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise ValueError(f"edge {i}: each endpoint must be an int")
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge {i}: endpoints must satisfy 0 <= u < v < n")
             if not (sys.float_info.min <= p <= 1.0):
@@ -60,6 +65,8 @@ class Instance:
                 raise ValueError(f"edge {i}: duplicate edge ({u}, {v})")
             seen.add((u, v))
         for v, t in enumerate(self.patience):
+            if not isinstance(t, int):
+                raise ValueError(f"vertex {v}: patience must be an int")
             if t < 1:
                 raise ValueError(f"vertex {v}: patience must be >= 1")
 

@@ -10,8 +10,12 @@ filtered values ALG_L and ALG_R, and the path-event masses; the public
 transform_optprime, value_algL and value_algR read one value each from the
 same walk.  The induction endpoints are the memo's values at greedy's root
 children, the states after greedy's first probe ab succeeds and after it
-fails.  The events module, through residual_RL, residual_RR and
-check_key_lemma, is the reference specification of those events.
+fails.  The events module, through check_key_lemma, is the reference
+specification of those events.
+
+check_lemma31 (E T(v) <= E L(v) + 1) and check_subtree_optimality check an
+optimal tree node by node.  TOL is the one float tolerance: for the chain's
+verdicts, for both node checks and for the ratio command's exit status.
 """
 
 from __future__ import annotations
@@ -66,27 +70,6 @@ def value_algL(t, ab, alpha, beta):
     return _walk(t, ab, alpha, 0, beta, 0)[1]
 
 
-def _cond_times(t, pnot, a, not_probe):
-    """pnot * P(a | not probe ab), with the zero-condition case worth 0."""
-    if pnot <= 0.0:
-        return 0.0
-    c = conditional_probability(t, a, not_probe)
-    return 0.0 if c is None else pnot * c
-
-
-def residual_RL(t, ab, alpha, beta, p_ab):
-    """Closed-form penalty for the alpha/beta-muted policy."""
-    probe = ProbesEdge(ab)
-    not_probe = Not(probe)
-    p_probe = event_probability(t, probe)
-    pnot = 1.0 - p_probe
-    return (
-        p_probe * p_ab
-        + _cond_times(t, pnot, TakesVertex(alpha), not_probe)
-        + _cond_times(t, pnot, TakesVertex(beta), not_probe)
-    )
-
-
 def value_algR(inst, t, ab):
     """Value of the tree with probes invalid on the failure-reduced instance muted.
 
@@ -99,19 +82,6 @@ def value_algR(inst, t, ab):
     """
     alpha, beta, _ = inst.edges[ab]
     return _walk(t, ab, alpha, inst.patience[alpha], beta, inst.patience[beta])[2]
-
-
-def residual_RR(t, ab, alpha, beta, t_alpha, t_beta, p_ab):
-    """Closed-form penalty for the failure-reduced-instance policy."""
-    probe = ProbesEdge(ab)
-    not_probe = Not(probe)
-    p_probe = event_probability(t, probe)
-    pnot = 1.0 - p_probe
-    return (
-        p_probe * p_ab
-        + _cond_times(t, pnot, TakesVertexAtKth(alpha, t_alpha), not_probe)
-        + _cond_times(t, pnot, TakesVertexAtKth(beta, t_beta), not_probe)
-    )
 
 
 @dataclass
@@ -285,7 +255,7 @@ def check_chain(inst, instance_id="", force=False):
     e_grd = subtree_value(grd_tree)
 
     # One walk of the optimal tree: the transformed and filtered values, and
-    # the masses that residual_RL, residual_RR and check_key_lemma define.
+    # the masses that the residuals R_L and R_R and check_key_lemma define.
     e_optprime, e_algL, e_algR, p_probe, p_never, *per_end = _walk(
         opt_tree, ab, alpha, inst.patience[alpha], beta, inst.patience[beta]
     )
@@ -365,3 +335,79 @@ def check_chain(inst, instance_id="", force=False):
         slacks=slacks,
         verdicts=verdicts,
     )
+
+
+@dataclass
+class LemmaReport:
+    """Per-node margins E T(v) - E L(v) for the one-plus-left-subtree bound."""
+
+    max_margin: float = float("-inf")
+    nodes_checked: int = 0
+    violations: list = field(default_factory=list)  # (path, margin)
+
+    @property
+    def ok(self):
+        return not self.violations
+
+
+def _first_paths(t):
+    """Each distinct node of a tree once, with its first path (L before R)."""
+    seen = set()
+    stack = [(t, "")]
+    while stack:
+        node, path = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node, path
+        if not node.is_leaf:
+            stack.append((node.right, path + "R"))
+            stack.append((node.left, path + "L"))
+
+
+def check_lemma31(t):
+    """Check E T(v) <= E L(v) + 1 at each distinct internal node of an optimal tree."""
+    report = LemmaReport()
+    for node, path in _first_paths(t):
+        if node.is_leaf:
+            continue
+        margin = node.value - node.left.value
+        report.nodes_checked += 1
+        report.max_margin = max(report.max_margin, margin)
+        if margin > 1.0 + TOL:
+            report.violations.append((path, margin))
+    return report
+
+
+@dataclass
+class OptimalityReport:
+    """Gap between each subtree's value and the optimum of its state."""
+
+    max_gap: float = 0.0
+    nodes_checked: int = 0
+    violations: list = field(default_factory=list)  # (path, subtree value, optimal value)
+
+    @property
+    def ok(self):
+        return not self.violations
+
+
+def check_subtree_optimality(inst, t, force=False):
+    """Check that each distinct subtree's value matches the optimum of its state.
+
+    Each node's state is solved through the optimal policy, under
+    core.MAX_STATES or with no budget if force, and its optimum read from
+    the policy's memo.
+    """
+    report = OptimalityReport()
+    memo = {}
+    solve = optimal_policy(inst, force=force, memo=memo)
+    for node, path in _first_paths(t):
+        solve(node.state)
+        opt = memo[node.state][0]
+        gap = abs(opt - node.value)
+        report.nodes_checked += 1
+        report.max_gap = max(report.max_gap, gap)
+        if gap > TOL:
+            report.violations.append((path, node.value, opt))
+    return report

@@ -7,15 +7,13 @@ Argmax ties break by ascending edge index under exact float comparison.
 The memo is keyed by canonical packed states (see core.kernel), so alive and
 probeable coincide and states with the same future are solved once.  _solve
 inlines core's apply_success and apply_failure: it is the DP's inner loop.
+A key from outside reaches _solve only through optimal_policy, which checks
+it and reads the state budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import SizeCapError, check_key, initial_state, kernel, state_budget
-
-LEMMA_TOL = 1e-9
 
 
 def _solve(key, mask, rows, memo, limit):
@@ -57,21 +55,13 @@ def optimal_value(inst, force=False):
     """Optimal expected matched count and the memo of solved states.
 
     The memo maps canonical packed state keys (see core.kernel) to (value,
-    best edge or None); state_value and optimal_policy key a shared memo the
-    same way.  Beyond core.MAX_STATES states: SizeCapError, unless force.
+    best edge or None); optimal_policy keys a shared memo the same way.
+    Beyond core.MAX_STATES states: SizeCapError, unless force.
     """
     memo = {}
     mask, limit = (1 << inst.m) - 1, state_budget(force)
     value, _ = _solve(initial_state(inst), mask, kernel(inst), memo, limit)
     return value, memo
-
-
-def state_value(inst, key, memo=None, force=False):
-    """Optimal value of a canonical state key (lazy; shares memo if given)."""
-    check_key(inst, key)
-    memo = {} if memo is None else memo
-    mask, limit = (1 << inst.m) - 1, state_budget(force)
-    return (memo.get(key) or _solve(key, mask, kernel(inst), memo, limit))[0]
 
 
 def optimal_policy(inst, force=False, memo=None):
@@ -101,74 +91,3 @@ def optimal_policy(inst, force=False, memo=None):
 
     return choose
 
-
-@dataclass
-class LemmaReport:
-    """Per-node margins E T(v) - E L(v) for the one-plus-left-subtree bound."""
-
-    max_margin: float = float("-inf")
-    nodes_checked: int = 0
-    violations: list = field(default_factory=list)  # (path, margin)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
-def _first_paths(t):
-    """Each distinct node of a tree once, with its first path (L before R)."""
-    seen = set()
-    stack = [(t, "")]
-    while stack:
-        node, path = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node, path
-        if not node.is_leaf:
-            stack.append((node.right, path + "R"))
-            stack.append((node.left, path + "L"))
-
-
-def check_lemma31(t):
-    """Check E T(v) <= E L(v) + 1 at each distinct internal node of an optimal tree."""
-    report = LemmaReport()
-    for node, path in _first_paths(t):
-        if node.is_leaf:
-            continue
-        margin = node.value - node.left.value
-        report.nodes_checked += 1
-        report.max_margin = max(report.max_margin, margin)
-        if margin > 1.0 + LEMMA_TOL:
-            report.violations.append((path, margin))
-    return report
-
-
-@dataclass
-class OptimalityReport:
-    """Gap between each subtree's value and the optimum of its state."""
-
-    max_gap: float = 0.0
-    nodes_checked: int = 0
-    violations: list = field(default_factory=list)  # (path, subtree value, optimal value)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
-def check_subtree_optimality(inst, t, force=False):
-    """Check that each distinct subtree's value matches the optimum of its state.
-
-    The states are solved under core.MAX_STATES, or with no budget if force.
-    """
-    report = OptimalityReport()
-    memo = {}
-    for node, path in _first_paths(t):
-        opt = state_value(inst, node.state, memo, force)
-        gap = abs(opt - node.value)
-        report.nodes_checked += 1
-        report.max_gap = max(report.max_gap, gap)
-        if gap > LEMMA_TOL:
-            report.violations.append((path, node.value, opt))
-    return report

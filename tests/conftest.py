@@ -7,6 +7,14 @@ import pytest
 
 from stochmatch import Instance
 from stochmatch.core import probeable_edges
+from stochmatch.events import (
+    Not,
+    ProbesEdge,
+    TakesVertex,
+    TakesVertexAtKth,
+    conditional_probability,
+    event_probability,
+)
 from stochmatch.generator import GeneratorSpec, generate_instance
 
 
@@ -343,3 +351,41 @@ def reference_algR(inst, t, ab):
         return contrib if invalid else node.p + contrib
 
     return value(t, 0, 0, False)
+
+
+# Reference residuals R_L and R_R, stated through the events module's path
+# events; check_chain computes them from its one walk's path masses.
+
+
+def _cond_times(t, pnot, a, not_probe):
+    """pnot * P(a | not probe ab), with the zero-condition case worth 0."""
+    if pnot <= 0.0:
+        return 0.0
+    c = conditional_probability(t, a, not_probe)
+    return 0.0 if c is None else pnot * c
+
+
+def residual_RL(t, ab, alpha, beta, p_ab):
+    """Closed-form penalty for the alpha/beta-muted policy."""
+    probe = ProbesEdge(ab)
+    not_probe = Not(probe)
+    p_probe = event_probability(t, probe)
+    pnot = 1.0 - p_probe
+    return (
+        p_probe * p_ab
+        + _cond_times(t, pnot, TakesVertex(alpha), not_probe)
+        + _cond_times(t, pnot, TakesVertex(beta), not_probe)
+    )
+
+
+def residual_RR(t, ab, alpha, beta, t_alpha, t_beta, p_ab):
+    """Closed-form penalty for the failure-reduced-instance policy."""
+    probe = ProbesEdge(ab)
+    not_probe = Not(probe)
+    p_probe = event_probability(t, probe)
+    pnot = 1.0 - p_probe
+    return (
+        p_probe * p_ab
+        + _cond_times(t, pnot, TakesVertexAtKth(alpha, t_alpha), not_probe)
+        + _cond_times(t, pnot, TakesVertexAtKth(beta, t_beta), not_probe)
+    )

@@ -20,13 +20,13 @@ from stochmatch.core import Instance
 from stochmatch.generator import GeneratorSpec, generate_instances
 from stochmatch.montecarlo import simulate
 from stochmatch.policy import build_tree, greedy_policy, policy_value, tree_value
-from stochmatch.proofcheck import check_chain, check_key_lemma
-from stochmatch.solver import (
+from stochmatch.proofcheck import (
+    check_chain,
+    check_key_lemma,
     check_lemma31,
     check_subtree_optimality,
-    optimal_policy,
-    optimal_value,
 )
+from stochmatch.solver import optimal_policy, optimal_value
 
 STAR2 = Instance(n=3, edges=((0, 1, 0.5), (0, 2, 0.5)), patience=(2, 1, 1))
 P4 = Instance(

@@ -72,6 +72,20 @@ class TestEval:
         assert exc.value.code == 2
 
 
+class TestInstanceFile:
+    @pytest.mark.parametrize("command", ["eval", "ratio", "check", "simulate"])
+    def test_non_utf8_exit_2(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(SINGLE.encode() + b"# \xff\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--instance", str(path)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+        assert "0xff" in err
+
+
 class TestRatio:
     def test_single_edge(self, write, capsys):
         assert main(["ratio", "--instance", write(SINGLE)]) == 0
@@ -322,21 +336,30 @@ def instance_texts(draw):
 
 class TestExitCodes:
     @settings(max_examples=150, deadline=None)
-    @given(text=instance_texts(), command=st.sampled_from(["eval", "ratio", "check"]))
+    @given(
+        text=instance_texts(),
+        command=st.sampled_from(["eval", "ratio", "check", "simulate"]),
+    )
     # A subnormal p made (1 - p) / p overflow: check printed nan slacks and exited 1.
     @example(text="stochmatch 1\n2 1\n1 1\n0 1 5e-324\n", command="check")
     @example(text=f"stochmatch 1\n2 1\n1 1\n0 1 {sys.float_info.min!r}\n", command="check")
+    # The byte 0xff (written through surrogateescape) is not UTF-8: a
+    # UnicodeDecodeError escaped main with status 1.
+    @example(text="stochmatch 1\n2 1\n1 1\n0 1 0.5 # \udcff\n", command="eval")
     def test_status_0_or_2(self, instance_dir, text, command):
         # Tiny instances, valid or one token off: nothing escapes main, and
         # an error (status 2) prints only to stderr.  Each example gets a new
         # file, since rewriting a file in place can cost tens of ms.
         fd, path = tempfile.mkstemp(suffix=".txt", dir=instance_dir)
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
+        with os.fdopen(fd, "w", encoding="utf-8", errors="surrogateescape") as f:
             f.write(text)
+        argv = [command, "--instance", path]
+        if command == "simulate":
+            argv += ["--trials", "1"]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:
-                status = main([command, "--instance", path])
+                status = main(argv)
             except SystemExit as exc:
                 status = exc.code
         assert status in (0, 2), (status, err.getvalue())

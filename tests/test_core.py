@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -29,13 +30,8 @@ from stochmatch.core import (
     probeable_edges,
 )
 from stochmatch.policy import build_tree, greedy_policy, policy_value
-from stochmatch.proofcheck import check_chain
-from stochmatch.solver import (
-    check_subtree_optimality,
-    optimal_policy,
-    optimal_value,
-    state_value,
-)
+from stochmatch.proofcheck import check_chain, check_subtree_optimality
+from stochmatch.solver import optimal_policy, optimal_value
 
 SINGLE = "stochmatch 1\n2 1\n1 1\n0 1 0.5\n"
 
@@ -215,6 +211,27 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Instance(n=2, edges=((0, 1, 0.5),), patience=(0, 1))
 
+    @pytest.mark.parametrize(
+        "n, edges, patience",
+        [
+            (2.0, ((0, 1, 0.5),), (1, 1)),
+            (2, ((0.0, 1, 0.5),), (1, 1)),
+            (2, ((0, 1.0, 0.5),), (1, 1)),
+            (2, ((0, 1, 0.5),), (1.5, 1)),
+            (2, ((0, 1, 0.5),), (1, 1.0)),
+            (2, ((0, 1, 0.5),), ("1", 1)),
+        ],
+    )
+    def test_non_int_fields_rejected(self, n, edges, patience):
+        # Accepted, these failed later: a float patience with AttributeError
+        # in the solve, a float endpoint with TypeError in kernel.
+        with pytest.raises(ValueError, match="must be an int"):
+            Instance(n=n, edges=edges, patience=patience)
+
+    def test_any_real_probability_accepted(self):
+        inst = Instance(n=2, edges=((0, 1, Fraction(1, 2)),), patience=(1, 1))
+        assert inst.edges[0][2] == 0.5
+
 
 class TestStateBudget:
     """core.MAX_STATES bounds the states a solve stores and the nodes a tree
@@ -223,7 +240,6 @@ class TestStateBudget:
 
     ENTRY_POINTS = {
         "optimal_value": lambda inst, force: optimal_value(inst, force=force),
-        "state_value": lambda inst, force: state_value(inst, initial_state(inst), force=force),
         "optimal_policy": lambda inst, force: optimal_policy(inst, force=force)(
             initial_state(inst)
         ),

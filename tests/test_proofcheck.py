@@ -1,6 +1,13 @@
 import pytest
 
-from conftest import random_instances, reference_algL, reference_algR, reference_optprime
+from conftest import (
+    random_instances,
+    reference_algL,
+    reference_algR,
+    reference_optprime,
+    residual_RL,
+    residual_RR,
+)
 
 from stochmatch import solver
 from stochmatch.core import Instance
@@ -17,8 +24,6 @@ from stochmatch.policy import build_tree, greedy_first_edge, subtree_value
 from stochmatch.proofcheck import (
     check_chain,
     check_key_lemma,
-    residual_RL,
-    residual_RR,
     transform_optprime,
     value_algL,
     value_algR,

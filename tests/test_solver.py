@@ -21,13 +21,8 @@ from stochmatch.core import (
 )
 from stochmatch.generator import GeneratorSpec, generate_instances
 from stochmatch.policy import build_tree, greedy_policy, policy_value
-from stochmatch.solver import (
-    check_lemma31,
-    check_subtree_optimality,
-    optimal_policy,
-    optimal_value,
-    state_value,
-)
+from stochmatch.proofcheck import check_lemma31, check_subtree_optimality
+from stochmatch.solver import optimal_policy, optimal_value
 
 
 class TestOptimalValue:
@@ -55,7 +50,7 @@ class TestOptimalValue:
         value, memo = optimal_value(p4)
         size = len(memo)
         root = initial_state(p4)
-        assert state_value(p4, root, memo) == value
+        assert memo[root][0] == value
         assert optimal_policy(p4, memo=memo)(root) == 0  # ab, by index tie-break against cd
         assert len(memo) == size  # both read the root solve's entries
 
@@ -104,8 +99,6 @@ class TestPackedKey:
             (0b100, (2, 2, 2, 0)),  # not canonical: edge 2 alive at exhausted vertex 3
         ]:
             key = pack_key(p4, alive, patience)
-            with pytest.raises(ValueError):
-                state_value(p4, key)
             # Checked before the solve, so nothing enters a shared memo.
             memo = {}
             with pytest.raises(ValueError):
@@ -120,7 +113,7 @@ class TestCanonicalStates:
         pol = optimal_policy(inst, force=True, memo=memo)
         for s, (value, edge) in reference_dp(inst).items():
             key = canonical_key(inst, s)
-            assert state_value(inst, key, memo) == value
+            assert memo[key][0] == value
             assert pol(key) == edge
         assert len(memo) == size  # every reachable raw state's key was solved from the root
         for key in memo:

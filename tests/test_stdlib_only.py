@@ -1,4 +1,11 @@
-"""The package imports nothing outside the standard library at run time."""
+"""The package imports nothing outside the standard library at run time, and
+its grammar is Python 3.10's, the oldest version requires-python allows.
+
+The grammar check parses each module with ast's feature_version=(3, 10), so
+newer syntax (such as except*) fails here even on a newer interpreter.  It
+checks syntax only: a stdlib function or argument added after 3.10 is not
+caught.
+"""
 
 import ast
 import sys
@@ -25,3 +32,10 @@ def test_absolute_imports_are_stdlib():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_grammar_is_python_3_10():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
