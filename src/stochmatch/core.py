@@ -38,8 +38,9 @@ class Instance:
     """Graph with edge probabilities and vertex patience numbers.
 
     Vertices are 0..n-1; edges keep their construction order and are
-    identified by index for the instance's whole lifetime.  n, the endpoints
-    and the patience numbers must be ints; p may be any real in range.
+    identified by index for the instance's whole lifetime.  edges, each edge
+    and patience must be tuples, so an instance hashes; n, the endpoints and
+    the patience numbers must be ints; p may be any real in range.
     """
 
     n: int
@@ -51,15 +52,24 @@ class Instance:
             raise ValueError("vertex count must be an int")
         if self.n < 0:
             raise ValueError("negative vertex count")
+        if not (isinstance(self.edges, tuple) and isinstance(self.patience, tuple)):
+            raise ValueError("edges and patience must be tuples")
         if len(self.patience) != self.n:
             raise ValueError("patience length must equal vertex count")
         seen = set()
-        for i, (u, v, p) in enumerate(self.edges):
+        for i, edge in enumerate(self.edges):
+            if not isinstance(edge, tuple):
+                raise ValueError(f"edge {i}: must be a (u, v, p) tuple")
+            u, v, p = edge
             if not (isinstance(u, int) and isinstance(v, int)):
                 raise ValueError(f"edge {i}: each endpoint must be an int")
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge {i}: endpoints must satisfy 0 <= u < v < n")
-            if not (sys.float_info.min <= p <= 1.0):
+            try:
+                in_range = sys.float_info.min <= p <= 1.0
+            except TypeError:
+                in_range = False
+            if not in_range:
                 raise ValueError(f"edge {i}: probability must be a normal float in (0, 1]")
             if (u, v) in seen:
                 raise ValueError(f"edge {i}: duplicate edge ({u}, {v})")

@@ -1,35 +1,26 @@
 """Seeded Monte Carlo estimation of a policy's expected matched count.
 
-Uses a splitmix64 stream so results are bit-reproducible for a fixed
-(instance, policy, trials, seed) across platforms.
+Draws come from the standard library's Mersenne Twister,
+random.Random(seed).random, whose sequence for a given int seed Python's
+docs guarantee not to change across Python versions, so results are
+bit-reproducible for a fixed (instance, policy, trials, seed).
+
+A policy must be a function of the state key (as build_tree and
+policy_value also assume): simulate consults it once per distinct state per
+call and caches that state's step, in a cache bounded by the state budget
+(core.MAX_STATES); past the budget, states are stepped without caching.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
-from .core import apply_failure, apply_success, initial_state, kernel
+from .core import apply_failure, apply_success, initial_state, kernel, state_budget
 
 _MASK64 = (1 << 64) - 1
-
-
-class SplitMix64:
-    """splitmix64 PRNG; uniform floats use the top 53 bits of each output."""
-
-    def __init__(self, seed):
-        self.state = seed & _MASK64
-
-    def next_u64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_float(self):
-        """Uniform in [0, 1)."""
-        return (self.next_u64() >> 11) / 9007199254740992.0  # 2**53
+_STOP = (None, 0.0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -44,34 +35,44 @@ class SimResult:
 def simulate(inst, pol, trials, seed):
     """Run independent trajectories of a policy and summarize matched counts.
 
-    Success of a probe is drawn strictly (u < p), so p = 1 always succeeds.
-    Raises RuntimeError if a trajectory's matched edges are not a matching.
+    Each probe takes one draw u from random.Random(seed & (2**64 - 1)) and
+    succeeds iff u < p, so p = 1 always succeeds.  pol must be a function of
+    the state key: it is called once per distinct state per call, and the
+    state's step (edge, p, endpoints, both children) is cached for later
+    visits until the cache holds core.MAX_STATES entries.  Raises
+    RuntimeError if a trajectory's matched edges are not a matching, and
+    ValueError if the policy picks an edge that is not alive.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = SplitMix64(seed)
+    draw = random.Random(seed & _MASK64).random
     rows = kernel(inst)
     root = initial_state(inst)
+    steps = {}
+    room = state_budget()
     total = 0.0
     total_sq = 0.0
     for _ in range(trials):
         key = root
-        matched_vertices = set()
+        used = 0  # bitmask of matched vertices
         matched = 0
         while True:
-            e = pol(key)
+            step = steps.get(key)
+            if step is None:
+                step = _step(inst, rows, pol, key)
+                if len(steps) < room:
+                    steps[key] = step
+            e, p, ends, success, failure = step
             if e is None:
                 break
-            u, v, p = inst.edges[e]
-            if rng.next_float() < p:
-                if u in matched_vertices or v in matched_vertices:
+            if draw() < p:
+                if used & ends:
                     raise RuntimeError(f"edge {e} matched an already matched vertex")
-                matched_vertices.add(u)
-                matched_vertices.add(v)
+                used |= ends
                 matched += 1
-                key = apply_success(rows, key, e)
+                key = success
             else:
-                key = apply_failure(rows, key, e)
+                key = failure
         total += matched
         total_sq += matched * matched
     mean = total / trials
@@ -84,3 +85,12 @@ def simulate(inst, pol, trials, seed):
         ci95_halfwidth=1.96 * stddev / math.sqrt(trials),
         seed=seed,
     )
+
+
+def _step(inst, rows, pol, key):
+    """(edge, p, endpoint bitmask, success key, failure key) at key."""
+    e = pol(key)
+    if e is None:
+        return _STOP
+    u, v, p = inst.edges[e]
+    return e, p, 1 << u | 1 << v, apply_success(rows, key, e), apply_failure(rows, key, e)

@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 import zlib
@@ -6,7 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from stochmatch import Instance
-from stochmatch.core import probeable_edges
+from stochmatch.core import apply_failure, apply_success, initial_state, kernel, probeable_edges
 from stochmatch.events import (
     Not,
     ProbesEdge,
@@ -16,6 +17,7 @@ from stochmatch.events import (
     event_probability,
 )
 from stochmatch.generator import GeneratorSpec, generate_instance
+from stochmatch.montecarlo import SimResult
 
 
 @pytest.fixture
@@ -278,6 +280,45 @@ def brute_force_greedy(edges, patience):
                 1.0 - p
             ) * brute_force_greedy(fail_edges, fail_pat)
     return 0.0
+
+
+def reference_simulate(inst, pol, trials, seed):
+    """Uncached Monte Carlo oracle: the policy and both transitions are
+    consulted at every step, the matched vertices kept in a set, and each
+    probe takes one draw from random.Random(seed mod 2**64).
+    """
+    rng = random.Random(seed & (1 << 64) - 1)
+    rows = kernel(inst)
+    total = 0.0
+    total_sq = 0.0
+    for _ in range(trials):
+        key = initial_state(inst)
+        matched_vertices = set()
+        matched = 0
+        while True:
+            e = pol(key)
+            if e is None:
+                break
+            u, v, p = inst.edges[e]
+            if rng.random() < p:
+                if u in matched_vertices or v in matched_vertices:
+                    raise RuntimeError(f"edge {e} matched an already matched vertex")
+                matched_vertices.update((u, v))
+                matched += 1
+                key = apply_success(rows, key, e)
+            else:
+                key = apply_failure(rows, key, e)
+        total += matched
+        total_sq += matched * matched
+    mean = total / trials
+    stddev = math.sqrt(max(total_sq / trials - mean * mean, 0.0))
+    return SimResult(
+        trials=trials,
+        mean=mean,
+        stddev=stddev,
+        ci95_halfwidth=1.96 * stddev / math.sqrt(trials),
+        seed=seed,
+    )
 
 
 # Reference values of OPT', ALG_L and ALG_R: a separate recursion for each,

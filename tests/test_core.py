@@ -228,9 +228,26 @@ class TestInvariants:
         with pytest.raises(ValueError, match="must be an int"):
             Instance(n=n, edges=edges, patience=patience)
 
+    @pytest.mark.parametrize(
+        "edges, patience, message",
+        [
+            (((0, 1, "0.5"),), (1, 1), "probability"),
+            (((0, 1, None),), (1, 1), "probability"),
+            (((0, 1, 0.5),), [1, 1], "tuples"),
+            ([(0, 1, 0.5)], (1, 1), "tuples"),
+            (([0, 1, 0.5],), (1, 1), "tuple"),
+        ],
+    )
+    def test_malformed_fields_rejected(self, edges, patience, message):
+        # Accepted or half-checked, these raised TypeError: a string p from
+        # the range comparison, a list field from hash(inst).
+        with pytest.raises(ValueError, match=message):
+            Instance(n=2, edges=edges, patience=patience)
+
     def test_any_real_probability_accepted(self):
         inst = Instance(n=2, edges=((0, 1, Fraction(1, 2)),), patience=(1, 1))
         assert inst.edges[0][2] == 0.5
+        assert hash(inst) == hash(Instance(n=2, edges=((0, 1, 0.5),), patience=(1, 1)))
 
 
 class TestStateBudget:

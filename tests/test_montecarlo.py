@@ -1,26 +1,35 @@
 import pytest
 
-from conftest import arbitrary_policy, random_instances
+from conftest import arbitrary_policy, random_instances, reference_simulate
 
+from stochmatch import core
 from stochmatch.core import Instance
-from stochmatch.montecarlo import SplitMix64, simulate
+from stochmatch.montecarlo import SimResult, simulate
 from stochmatch.policy import greedy_policy, policy_value
+from stochmatch.solver import optimal_policy
 
 
-class TestSplitMix64:
-    def test_deterministic_stream(self):
-        a = SplitMix64(1234)
-        b = SplitMix64(1234)
-        assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
+class TestGoldenStream:
+    """Exact results for fixed seeds: a change to the random stream or to the
+    draws per probe fails here."""
 
-    def test_floats_in_unit_interval(self):
-        rng = SplitMix64(999)
-        for _ in range(1000):
-            u = rng.next_float()
-            assert 0.0 <= u < 1.0
+    def test_star2_greedy(self, star2):
+        assert simulate(star2, greedy_policy(star2), trials=1000, seed=42) == SimResult(
+            trials=1000,
+            mean=0.734,
+            stddev=0.44186423254207846,
+            ci95_halfwidth=0.027387028871347106,
+            seed=42,
+        )
 
-    def test_distinct_seeds_differ(self):
-        assert SplitMix64(1).next_u64() != SplitMix64(2).next_u64()
+    def test_p4_optimal(self, p4):
+        assert simulate(p4, optimal_policy(p4), trials=1000, seed=42) == SimResult(
+            trials=1000,
+            mean=1.113,
+            stddev=0.6117442275984302,
+            ci95_halfwidth=0.037916300051560936,
+            seed=42,
+        )
 
 
 class TestSimulate:
@@ -72,3 +81,55 @@ class TestSimulate:
             if abs(result.mean - exact) >= tolerance:
                 misses += 1
         assert misses <= 1
+
+
+POLICIES = {
+    "greedy": lambda inst, i: greedy_policy(inst),
+    "arbitrary": arbitrary_policy,
+    "optimal": lambda inst, i: optimal_policy(inst),
+}
+
+
+class TestStepCache:
+    """simulate caches one step per visited state; the uncached loop in
+    conftest.reference_simulate is its oracle."""
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_matches_uncached_reference(self, name):
+        for i, inst in enumerate(random_instances(seed=7, count=12, n_max=6, m_max=8)):
+            pol = POLICIES[name](inst, i)
+            expected = reference_simulate(inst, pol, trials=300, seed=i)
+            assert simulate(inst, pol, trials=300, seed=i) == expected
+
+    def test_one_policy_call_per_visited_state(self, p4):
+        calls = {}
+        inner = greedy_policy(p4)
+
+        def counting(key):
+            calls[key] = calls.get(key, 0) + 1
+            return inner(key)
+
+        simulate(p4, counting, trials=2000, seed=3)
+        assert len(calls) > 1
+        assert set(calls.values()) == {1}
+        calls.clear()
+        simulate(p4, counting, trials=2000, seed=3)  # a new call starts a new cache
+        assert set(calls.values()) == {1}
+
+    def test_cache_bounded_by_state_budget(self, p4, monkeypatch):
+        pol = optimal_policy(p4)
+        expected = simulate(p4, pol, trials=2000, seed=5)
+        monkeypatch.setattr(core, "MAX_STATES", 2)
+        calls = []
+
+        def counting(key):
+            calls.append(key)
+            return pol(key)
+
+        assert simulate(p4, counting, trials=2000, seed=5) == expected
+        assert len(calls) > len(set(calls))  # states past the budget are re-stepped
+
+    def test_dead_edge_raises(self, p4):
+        # Edge 0 is dead once it has been probed, whatever the outcome.
+        with pytest.raises(ValueError, match="not alive"):
+            simulate(p4, lambda key: 0, trials=10, seed=1)
