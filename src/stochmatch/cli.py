@@ -82,12 +82,9 @@ def cmd_eval(args):
 
 def cmd_ratio(args):
     inst = _load_instance(args.instance)
-    if inst.m == 0:
-        e_opt, e_grd, ratio = 0.0, 0.0, 1.0
-    else:
-        e_opt, _ = optimal_value(inst, force=args.force)
-        e_grd = tree_value(build_tree(inst, greedy_policy(inst), force=args.force))
-        ratio = e_opt / e_grd
+    e_opt, _ = optimal_value(inst, force=args.force)
+    e_grd = tree_value(build_tree(inst, greedy_policy(inst), force=args.force))
+    ratio = e_opt / e_grd if e_grd > 0 else 1.0
     print(f"opt {_fmt(e_opt)}")
     print(f"grd {_fmt(e_grd)}")
     print(f"ratio {_fmt(ratio)}")

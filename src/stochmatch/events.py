@@ -2,14 +2,13 @@
 
 An event is a predicate on a root-to-leaf path.  Each path step records the
 probed edge, its endpoints and whether the probe succeeded.  Probabilities
-are computed by exhaustive leaf enumeration, never by sampling.
+are computed by exhaustive leaf enumeration, never by sampling.  A
+conditional probability is undefined iff its condition's mass is exactly 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-UNDEFINED_CUTOFF = 1e-15
 
 
 @dataclass(frozen=True)
@@ -26,12 +25,6 @@ class PathStep:
 class Event:
     def holds(self, path):
         raise NotImplementedError
-
-    def __and__(self, other):
-        return And(self, other)
-
-    def __invert__(self):
-        return Not(self)
 
 
 @dataclass(frozen=True)
@@ -145,13 +138,13 @@ def event_probability(t, q):
 
 
 def conditional_probability(t, a, b):
-    """P(a | b), or None when P(b) is numerically zero.
+    """P(a | b), or None iff P(b), a sum of leaf masses, is exactly 0.
 
     Callers multiply a None by its zero condition probability and treat the
     product as zero.
     """
     pb = event_probability(t, b)
-    if pb <= UNDEFINED_CUTOFF:
+    if pb == 0.0:
         return None
     pab = event_probability(t, And(a, b))
     return pab / pb

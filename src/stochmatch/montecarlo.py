@@ -41,7 +41,8 @@ def simulate(inst, pol, trials, seed):
     state's step (edge, p, endpoints, both children) is cached for later
     visits until the cache holds core.MAX_STATES entries.  Raises
     RuntimeError if a trajectory's matched edges are not a matching, and
-    ValueError if the policy picks an edge that is not alive.
+    ValueError if the policy picks an edge that is not alive or stops while
+    one is.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -91,6 +92,8 @@ def _step(inst, rows, pol, key):
     """(edge, p, endpoint bitmask, success key, failure key) at key."""
     e = pol(key)
     if e is None:
+        if key & ((1 << inst.m) - 1):
+            raise ValueError("policy stopped while edges were probeable")
         return _STOP
     u, v, p = inst.edges[e]
     return e, p, 1 << u | 1 << v, apply_success(rows, key, e), apply_failure(rows, key, e)

@@ -15,7 +15,9 @@ specification of those events.
 
 check_lemma31 (E T(v) <= E L(v) + 1) and check_subtree_optimality check an
 optimal tree node by node.  TOL is the one float tolerance: for the chain's
-verdicts, for both node checks and for the ratio command's exit status.
+verdicts, for both node checks and for the ratio command's exit status.  A
+conditional on "ab never probed" is undefined iff that event's mass is
+exactly 0, and then counts as 0.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .events import (
-    UNDEFINED_CUTOFF,
     FailsKthOfVertex,
     Not,
     ProbesEdge,
     TakesVertex,
     TakesVertexAtKth,
     conditional_probability,
-    event_probability,
+    event_probability,  # unused here, but perfbench/tracing.py rebinds it
 )
 from .policy import build_tree, greedy_policy, subtree_value
 from .solver import optimal_policy, optimal_value
@@ -107,18 +108,14 @@ def check_key_lemma(t, inst, gamma, ab):
     """Bound the take-at-last-probe term by the all-probes-failed term.
 
     Requires p_ab to be the maximum edge probability in the instance.  When
-    the conditioning event (ab never probed) has probability zero, all terms
-    are zero by the zero-branch convention.
+    the conditioning event (ab never probed) has mass exactly 0, its
+    conditionals are undefined and count as 0, so all terms are 0.
     """
     p_ab = inst.edges[ab][2]
     if any(p > p_ab for _, _, p in inst.edges):
         raise ValueError("p_ab must be the maximum edge probability")
     t_gamma = inst.patience[gamma]
-    probe = ProbesEdge(ab)
-    not_probe = Not(probe)
-    pnot = 1.0 - event_probability(t, probe)
-    if pnot <= UNDEFINED_CUTOFF:
-        return KeyLemmaResult(lhs=0.0, rhs_lemma=0.0, rhs_corollary=0.0)
+    not_probe = Not(ProbesEdge(ab))
     c_take_kth = conditional_probability(t, TakesVertexAtKth(gamma, t_gamma), not_probe)
     c_fail_kth = conditional_probability(t, FailsKthOfVertex(gamma, t_gamma), not_probe)
     c_not_take = conditional_probability(t, Not(TakesVertex(gamma)), not_probe)
@@ -213,7 +210,6 @@ class ChainReport:
     cond_take_beta_kth: float
     keylem_alpha: KeyLemmaResult
     keylem_beta: KeyLemmaResult
-    greedy_identity_gap: float
     slacks: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
 
@@ -262,15 +258,12 @@ def check_chain(inst, instance_id="", force=False):
     pnot = 1.0 - p_probe
     w = max(pnot, 0.0)  # weight of a residual's conditional term
     # P(event | ab never probed), worth 0 where the condition has no mass.
-    conds = [[m / p_never if p_never > UNDEFINED_CUTOFF else 0.0 for m in ms] for ms in per_end]
+    conds = [[m / p_never if p_never else 0.0 for m in ms] for ms in per_end]
     (c_take_a, c_take_a_kth, _, _), (c_take_b, c_take_b_kth, _, _) = conds
     e_RL = p_probe * p_ab + w * c_take_a + w * c_take_b
     e_RR = p_probe * p_ab + w * c_take_a_kth + w * c_take_b_kth
     kl_a, kl_b = (
-        KeyLemmaResult(r * take_kth, fail_kth, no_take)
-        if pnot > UNDEFINED_CUTOFF
-        else KeyLemmaResult(0.0, 0.0, 0.0)
-        for _, take_kth, fail_kth, no_take in conds
+        KeyLemmaResult(r * take_kth, fail_kth, no_take) for _, take_kth, fail_kth, no_take in conds
     )
 
     # Induction endpoints: the filtered policies are proper policies for the
@@ -279,13 +272,6 @@ def check_chain(inst, instance_id="", force=False):
     # are those states, and the root solve left both in the memo.
     opt_left = memo[grd_tree.left.state][0]
     opt_right = memo[grd_tree.right.state][0]
-
-    # Greedy recursion identity used by the final step of the chain.
-    e_left_grd = subtree_value(grd_tree.left)
-    e_right_grd = subtree_value(grd_tree.right)
-    identity_gap = (
-        2.0 * p_ab * (1.0 + e_left_grd) + 2.0 * (1.0 - p_ab) * e_right_grd
-    ) - 2.0 * e_grd
 
     slacks = {
         "optp": (e_optprime + (1.0 - p_ab) * p_probe) - e_opt,
@@ -308,8 +294,6 @@ def check_chain(inst, instance_id="", force=False):
         name: abs(slacks[name]) <= TOL if kind == "eq" else slacks[name] >= -TOL
         for name, kind in RELATIONS
     }
-    # The final step also relies on the greedy recursion identity.
-    verdicts["final"] = verdicts["final"] and abs(identity_gap) <= TOL
 
     return ChainReport(
         instance_id=instance_id,
@@ -331,7 +315,6 @@ def check_chain(inst, instance_id="", force=False):
         cond_take_beta_kth=c_take_b_kth,
         keylem_alpha=kl_a,
         keylem_beta=kl_b,
-        greedy_identity_gap=identity_gap,
         slacks=slacks,
         verdicts=verdicts,
     )

@@ -101,6 +101,11 @@ class TestRatio:
         assert main(["ratio", "--instance", write(DISJOINT)]) == 0
         assert "ratio 1.000000000000" in capsys.readouterr().out
 
+    def test_empty_graph(self, write, capsys):
+        assert main(["ratio", "--instance", write(EMPTY)]) == 0
+        out = capsys.readouterr().out
+        assert out == "opt 0.000000000000\ngrd 0.000000000000\nratio 1.000000000000\n"
+
     def test_patience_beyond_a_byte(self, write, capsys):
         path = write("stochmatch 1\n2 1\n300 1\n0 1 0.5\n")
         assert main(["ratio", "--instance", path, "--force"]) == 0

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import random_instances
 
+from stochmatch.core import Instance
 from stochmatch.events import (
     And,
     FailsKthOfVertex,
@@ -76,6 +77,21 @@ class TestConditional:
         t = build_tree(p4, greedy_policy(p4))
         q = TakesEdge(1)
         assert conditional_probability(t, q, q) == pytest.approx(1.0, abs=1e-12)
+
+    def test_tiny_condition_defined(self):
+        # Probing in index order, the condition "both 1e-10 edges taken" has
+        # mass about 1e-20; only an exact 0 leaves a conditional undefined.
+        inst = Instance(
+            n=6, edges=((0, 1, 1e-10), (2, 3, 1e-10), (4, 5, 0.3)), patience=(1,) * 6
+        )
+
+        def in_order(key):
+            return next((e for e in range(inst.m) if key >> e & 1), None)
+
+        t = build_tree(inst, in_order)
+        both = And(TakesEdge(0), TakesEdge(1))
+        assert 0.0 < event_probability(t, both) < 1e-19
+        assert conditional_probability(t, TakesEdge(2), both) == pytest.approx(0.3, rel=1e-12)
 
     def test_zero_condition_undefined(self, single_edge):
         t = build_tree(single_edge, greedy_policy(single_edge))

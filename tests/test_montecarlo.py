@@ -129,6 +129,15 @@ class TestStepCache:
         assert simulate(p4, counting, trials=2000, seed=5) == expected
         assert len(calls) > len(set(calls))  # states past the budget are re-stepped
 
+    @pytest.mark.parametrize("first", [None, 0])
+    def test_illegal_stop_raises(self, disjoint_pair, first):
+        # Stopping at the root, or after edge 0, while an edge is alive.
+        def pol(key):
+            return first if key & 1 else None
+
+        with pytest.raises(ValueError, match="stopped while edges were probeable"):
+            simulate(disjoint_pair, pol, trials=10, seed=1)
+
     def test_dead_edge_raises(self, p4):
         # Edge 0 is dead once it has been probed, whatever the outcome.
         with pytest.raises(ValueError, match="not alive"):

@@ -35,6 +35,16 @@ def opt_tree_of(inst):
     return build_tree(inst, optimal_policy(inst))
 
 
+# Every path of the optimal tree probes ab, edge 2, except ones of mass about
+# 1e-18.  1 - P(ab probed) reads 0.0, but P(ab never probed) is positive, so
+# the conditionals on it are defined.
+TINY_NEVER = Instance(
+    n=4,
+    edges=((0, 1, 1e-12), (0, 3, 0.999999), (1, 2, 1.0), (1, 3, 0.001), (2, 3, 1e-09)),
+    patience=(3, 2, 1, 1),
+)
+
+
 def _reduced_after_success(inst, alpha, beta):
     edges = tuple((u, v, p) for u, v, p in inst.edges if not {u, v} & {alpha, beta})
     return Instance(n=inst.n, edges=edges, patience=inst.patience)
@@ -274,6 +284,17 @@ class TestChain:
         assert row[0] == "p4"
 
 
+class TestExactZeroRule:
+    def test_tiny_never_mass_gets_true_conditionals(self):
+        report = check_chain(TINY_NEVER)
+        t = opt_tree_of(TINY_NEVER)
+        p_never = event_probability(t, Not(ProbesEdge(report.ab)))
+        assert 0.0 < p_never < 1e-15
+        assert report.p_probe_ab == 1.0
+        assert report.passed
+        assert report.cond_take_alpha == 1.0
+
+
 class TestChainMatchesReference:
     """check_chain's one-walk quantities equal the events-algebra reference
     and conftest's recursive value oracles."""
@@ -281,7 +302,7 @@ class TestChainMatchesReference:
     def test_exactly_equal(self, single_edge):
         # On the single edge ab is always probed, so the conditionals on "ab
         # never probed" take the zero-condition branch.
-        instances = random_instances(seed=50, count=40) + [single_edge]
+        instances = random_instances(seed=50, count=40) + [single_edge, TINY_NEVER]
         grid = [all(p in P_GRID for _, _, p in inst.edges) for inst in instances]
         assert any(grid) and not all(grid)
         for inst in instances:
