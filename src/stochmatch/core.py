@@ -2,9 +2,10 @@
 
 An instance is an undirected graph with a success probability on every edge
 and a patience number on every vertex.  A state is one int, its canonical
-packed key: which edges are still alive and how much patience each vertex
-has left.  This module alone knows the key's layout; transitions map a key
-to a child key.
+packed key: which edges are still alive and how much patience is left at
+each vertex whose patience is below its degree, the only vertices whose
+patience can run out.  The layout is fixed per instance, and this module
+alone knows it; transitions map a key to a child key.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 # States a solve's memo or a decision tree may hold unless forced.  A memo entry
 # costs about 170 B of RSS and a tree node 235 B, so a refusal stops below 250 MiB.
@@ -83,6 +85,29 @@ class Instance:
     @property
     def m(self):
         return len(self.edges)
+
+    @cached_property
+    def _layout(self):
+        """(incident edges, field unit, field mask, key width) of the packed key.
+
+        Worked out once per instance, in one pass over the edges: a vertex
+        whose patience is below its degree gets a field patience.bit_length()
+        bits wide, placed above the m alive bits and the fields of lower
+        vertices; any other vertex gets unit 0 and mask 0.  See kernel.
+        """
+        inc = [0] * self.n
+        for e, (u, v, _) in enumerate(self.edges):
+            inc[u] |= 1 << e
+            inc[v] |= 1 << e
+        unit = [0] * self.n
+        field = [0] * self.n
+        top = self.m
+        for v, t in enumerate(self.patience):
+            if t < inc[v].bit_count():
+                unit[v] = 1 << top
+                field[v] = ((1 << t.bit_length()) - 1) << top
+                top += t.bit_length()
+        return tuple(inc), tuple(unit), tuple(field), top
 
 
 def state_budget(force=False):
@@ -182,37 +207,30 @@ def format_instance(inst):
     return "\n".join(out) + "\n"
 
 
-def _width(inst):
-    """Bits in each vertex's patience field of a packed key."""
-    return max(inst.patience, default=0).bit_length()
-
-
 def kernel(inst):
     """Per-edge transition rows of the instance's packed state keys.
 
     A key is one int: the alive-edge bits are its low m bits, and above them
-    sits one w-bit patience field per vertex, w = max(patience).bit_length().
-    Keys are canonical: no key has an alive edge at a vertex whose field is 0,
-    so an alive edge is a probeable one, and states with the same future share
-    one key.  rows[e] is (field of u, field of v, u's other edges, v's other
-    edges, success mask, failure decrement, p, 1 - p).  A success child is
-    key & keep; a failure child is key - dec, less the other edges of an
-    endpoint whose field reaches 0.
+    sits a patience field for each vertex whose patience is below its degree,
+    patience.bit_length() bits wide.  A vertex whose patience is at least its
+    degree has no field: each probe at it removes one of its edges, so its
+    patience can never run out while it has an edge, and states that differ
+    only in what is left of it have the same future.  Keys are canonical: no
+    key has an alive edge at a vertex whose field is 0, so an alive edge is a
+    probeable one, and states with the same future share one key.  rows[e] is
+    (field of u, field of v, u's other edges, v's other edges, success mask,
+    failure decrement, p, 1 - p), where a vertex with no field has field 0 and
+    other edges 0.  A success child is key & keep; a failure child is
+    key - dec, less the other edges of an endpoint whose field reaches 0.
     """
-    m, w = inst.m, _width(inst)
-    unit = [1 << (m + w * v) for v in range(inst.n)]
-    fields = [((1 << w) - 1) * b for b in unit]
-    inc = [0] * inst.n
-    for e, (u, v, _) in enumerate(inst.edges):
-        inc[u] |= 1 << e
-        inc[v] |= 1 << e
+    inc, unit, field, _ = inst._layout
     return [
         (
-            fields[u],
-            fields[v],
-            inc[u] & ~(1 << e),
-            inc[v] & ~(1 << e),
-            ~(inc[u] | inc[v] | fields[u] | fields[v]),
+            field[u],
+            field[v],
+            inc[u] & ~(1 << e) if field[u] else 0,
+            inc[v] & ~(1 << e) if field[v] else 0,
+            ~(inc[u] | inc[v] | field[u] | field[v]),
             (1 << e) + unit[u] + unit[v],
             p,
             1.0 - p,
@@ -223,19 +241,18 @@ def kernel(inst):
 
 def initial_state(inst):
     """Key with all edges alive and full patience."""
-    m, w = inst.m, _width(inst)
-    return (1 << m) - 1 | sum(t << (m + w * v) for v, t in enumerate(inst.patience))
+    _, unit, _, _ = inst._layout
+    return (1 << inst.m) - 1 | sum(t * b for t, b in zip(inst.patience, unit))
 
 
 def check_key(inst, key):
     """Raise ValueError unless key is a canonical state key of the instance."""
-    m, w = inst.m, _width(inst)
-    if not 0 <= key < 1 << (m + w * inst.n):
+    _, _, field, top = inst._layout
+    if not 0 <= key < 1 << top:
         raise ValueError("state key does not fit this instance")
-    full = (1 << w) - 1
     for e in probeable_edges(inst, key):
         u, v, _ = inst.edges[e]
-        if not (key >> (m + w * u) & full and key >> (m + w * v) & full):
+        if field[u] and not key & field[u] or field[v] and not key & field[v]:
             raise ValueError(f"edge {e} is alive at a vertex with no patience left")
 
 

@@ -1,6 +1,5 @@
 import math
 import random
-import struct
 import zlib
 from dataclasses import dataclass
 
@@ -90,28 +89,49 @@ def arbitrary_policy(inst, salt):
         probeable = probeable_edges(inst, key)
         if not probeable:
             return None
-        alive, patience = unpack_key(inst, key)
-        h = zlib.crc32(struct.pack("<I", alive) + bytes(patience)) ^ salt
+        h = zlib.crc32(key.to_bytes((key.bit_length() + 7) // 8, "little")) ^ salt
         return probeable[h % len(probeable)]
 
     return choose
 
 
+def field_layout(inst):
+    """(shift, width) of each vertex's patience field, None for a vertex
+    whose patience is at least its degree, and the key's width in bits.
+
+    The fields sit above the m alive bits in vertex order, each as wide as
+    its own patience needs.  Written independently of core.
+    """
+    degree = [0] * inst.n
+    for u, v, _ in inst.edges:
+        degree[u] += 1
+        degree[v] += 1
+    fields, top = [], inst.m
+    for t, d in zip(inst.patience, degree):
+        if t < d:
+            fields.append((top, t.bit_length()))
+            top += t.bit_length()
+        else:
+            fields.append(None)
+    return fields, top
+
+
 def pack_key(inst, alive, patience):
     """The int core packs for an alive mask and patience per vertex: alive
-    bits low, then one field per vertex as wide as the largest patience needs.
-    Written independently of core and without canonicalising, so it can also
-    make keys that do not fit or are not canonical.
+    bits low, then the field of each vertex that has one (see field_layout);
+    the patience of a vertex with no field is dropped.  Without canonicalising,
+    so it can also make keys that do not fit or are not canonical.
     """
-    m, w = inst.m, max(inst.patience, default=0).bit_length()
-    return alive + sum(t << (m + w * v) for v, t in enumerate(patience))
+    fields, _ = field_layout(inst)
+    return alive + sum(t << f[0] for t, f in zip(patience, fields) if f)
 
 
 def unpack_key(inst, key):
-    """(alive mask, patience per vertex) of a packed key; see pack_key."""
-    m, w = inst.m, max(inst.patience, default=0).bit_length()
-    fields = tuple((key >> (m + w * v)) & ((1 << w) - 1) for v in range(inst.n))
-    return key & ((1 << m) - 1), fields
+    """(alive mask, patience per vertex) of a packed key, None for a vertex
+    with no field; see pack_key."""
+    fields, _ = field_layout(inst)
+    patience = tuple(f and key >> f[0] & (1 << f[1]) - 1 for f in fields)
+    return key & ((1 << inst.m) - 1), patience
 
 
 def canonical_key(inst, s):

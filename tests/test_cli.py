@@ -26,9 +26,14 @@ DEEP = "stochmatch 1\n2000 1000\n" + " ".join(["1"] * 2000) + "\n" + "".join(
 DISJOINT24 = "stochmatch 1\n48 24\n" + " ".join(["1"] * 48) + "\n" + "".join(
     f"{2 * i} {2 * i + 1} 0.5\n" for i in range(24)
 )
-# The patience-1 star on 40 leaves: 40 edges but 41 DP states.
+# The patience-1 star on 40 leaves: 40 edges but 2 DP states.
 STAR40 = "stochmatch 1\n41 40\n" + " ".join(["1"] * 41) + "\n" + "".join(
     f"0 {i} 0.5\n" for i in range(1, 41)
+)
+# The path on 16 vertices with patience 3: no vertex has a patience field,
+# so its 2^15 DP states are within the budget.
+PATH16 = format_instance(
+    Instance(n=16, edges=tuple((i, i + 1, 0.3 + 0.02 * i) for i in range(15)), patience=(3,) * 16)
 )
 
 
@@ -153,6 +158,12 @@ class TestStateBudget:
     def test_star40_answered_without_force(self, command, write, capsys):
         assert main([command, "--instance", write(STAR40)]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_path16_ratio_without_force(self, write, capsys):
+        assert main(["ratio", "--instance", write(PATH16)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("opt 4.640355764591\n")
 
     def test_ratio_past_budget_exit_2(self, write, capsys, monkeypatch):
         monkeypatch.setattr(core, "MAX_STATES", 2)

@@ -121,17 +121,22 @@ class TestParse:
 
 class TestTransitions:
     def test_initial_state(self, p4):
-        assert unpack_key(p4, initial_state(p4)) == (0b111, (2, 2, 2, 2))
+        # Patience 2 is at least every p4 vertex's degree: no vertex has a field.
+        assert unpack_key(p4, initial_state(p4)) == (0b111, (None,) * 4)
+        star = Instance(n=3, edges=((0, 1, 0.5), (0, 2, 0.5)), patience=(1, 2, 2))
+        assert unpack_key(star, initial_state(star)) == (0b11, (1, None, None))
 
     def test_initial_state_empty(self, empty_graph):
         assert unpack_key(empty_graph, initial_state(empty_graph))[0] == 0
 
     def test_success_removes_shared_endpoint_edges(self, p4):
-        key = apply_success(kernel(p4), initial_state(p4), 0)  # edge a-b
-        alive, patience = unpack_key(p4, key)
+        # p4's path with patience 1, so that b and c have fields.
+        path = Instance(n=4, edges=p4.edges, patience=(1, 1, 1, 1))
+        key = apply_success(kernel(path), initial_state(path), 0)  # edge a-b
+        alive, patience = unpack_key(path, key)
         assert not (alive >> 1) & 1  # b-c gone too
         assert (alive >> 2) & 1  # c-d survives
-        assert patience[0] == 0 and patience[1] == 0
+        assert patience == (None, 0, 1, None)
 
     def test_success_keeps_disjoint_edge(self, disjoint_pair):
         key = apply_success(kernel(disjoint_pair), initial_state(disjoint_pair), 0)
@@ -146,14 +151,14 @@ class TestTransitions:
 
     def test_failure_single_edge(self, single_edge):
         key = apply_failure(kernel(single_edge), initial_state(single_edge), 0)
-        assert unpack_key(single_edge, key) == (0, (0, 0))
+        assert unpack_key(single_edge, key) == (0, (None, None))
 
     def test_failure_exhausts_star_center(self):
         # The center's other edge is cleared with its patience: the key is canonical.
         star = Instance(n=3, edges=((0, 1, 0.5), (0, 2, 0.5)), patience=(1, 2, 2))
         key = apply_failure(kernel(star), initial_state(star), 0)
         assert probeable_edges(star, key) == []
-        assert unpack_key(star, key) == (0, (0, 1, 2))
+        assert unpack_key(star, key) == (0, (0, None, None))
 
     def test_failure_patient_star_center(self, star2):
         key = apply_failure(kernel(star2), initial_state(star2), 0)
@@ -189,19 +194,21 @@ class TestTransitions:
 
 class TestInvariants:
     def test_transitions_shrink_measure(self, p4):
-        # (|alive|, sum patience) drops lexicographically on every transition.
-        rows = kernel(p4)
-        stack = [initial_state(p4)]
-        while stack:
-            key = stack.pop()
-            alive, patience = unpack_key(p4, key)
-            before = (bin(alive).count("1"), sum(patience))
-            for e in probeable_edges(p4, key):
-                for nxt in (apply_success(rows, key, e), apply_failure(rows, key, e)):
-                    alive, patience = unpack_key(p4, nxt)
-                    after = (bin(alive).count("1"), sum(patience))
-                    assert after < before
-                    stack.append(nxt)
+        # (|alive|, sum of the fields) drops lexicographically on every
+        # transition; p4's own patience gives no fields, patience 1 gives b and c one.
+        for inst in (p4, Instance(n=4, edges=p4.edges, patience=(1, 1, 1, 1))):
+            rows = kernel(inst)
+            stack = [initial_state(inst)]
+            while stack:
+                key = stack.pop()
+                alive, fields = unpack_key(inst, key)
+                before = (bin(alive).count("1"), sum(filter(None, fields)))
+                for e in probeable_edges(inst, key):
+                    for nxt in (apply_success(rows, key, e), apply_failure(rows, key, e)):
+                        alive, fields = unpack_key(inst, nxt)
+                        after = (bin(alive).count("1"), sum(filter(None, fields)))
+                        assert after < before
+                        stack.append(nxt)
 
     def test_invalid_instances_rejected(self):
         with pytest.raises(ValueError):

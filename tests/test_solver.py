@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from conftest import (
     arbitrary_policy,
     brute_force_optimal,
     canonical_key,
+    field_layout,
     pack_key,
     random_instances,
     reference_dp,
@@ -20,7 +23,7 @@ from stochmatch.core import (
     probeable_edges,
 )
 from stochmatch.generator import GeneratorSpec, generate_instances
-from stochmatch.policy import build_tree, greedy_policy, policy_value
+from stochmatch.policy import build_tree, greedy_policy, policy_value, tree_value
 from stochmatch.proofcheck import check_lemma31, check_subtree_optimality
 from stochmatch.solver import optimal_policy, optimal_value
 
@@ -63,10 +66,22 @@ class TestOptimalValue:
 
 class TestPackedKey:
     def test_patience_beyond_a_byte(self):
-        inst = Instance(n=2, edges=((0, 1, 0.5),), patience=(300, 1))
-        value, memo = optimal_value(inst, force=True)
-        assert value == 0.5
-        assert len(memo) == 3  # root, success and failure
+        # A star whose center's patience 300 is below its degree 301: a 9-bit
+        # field.  Each failed probe takes one unit; the 300th exhausts the
+        # center and clears its one remaining edge.
+        k = 301
+        inst = Instance(
+            n=k + 1,
+            edges=tuple((0, i, 0.5) for i in range(1, k + 1)),
+            patience=(k - 1,) + (1,) * k,
+        )
+        rows = kernel(inst)
+        key = initial_state(inst)
+        assert unpack_key(inst, key) == ((1 << k) - 1, (300,) + (None,) * k)
+        for e in range(k - 2):
+            key = apply_failure(rows, key, e)
+            assert unpack_key(inst, key) == ((1 << k) - (2 << e), (k - 2 - e,) + (None,) * k)
+        assert apply_failure(rows, key, k - 2) == 0
 
     def test_more_than_32_edges(self):
         # A star whose center has patience 1: one probe ends every path.
@@ -78,9 +93,9 @@ class TestPackedKey:
         )
         value, memo = optimal_value(inst, force=True)
         assert value == 0.9
-        # The root and one state per edge: either outcome exhausts the center
-        # and the leaf and leaves no alive edge, so both children share a key.
-        assert len(memo) == k + 1
+        # The root and the empty key: either outcome of any probe exhausts the
+        # center, which clears every other edge, and no leaf has a field.
+        assert len(memo) == 2
         assert optimal_policy(inst, force=True, memo=memo)(initial_state(inst)) == k - 1
 
     def test_disjoint_tie_break_exact(self, disjoint16):
@@ -89,21 +104,42 @@ class TestPackedKey:
         assert len(memo) == 2**16
         assert optimal_policy(disjoint16, memo=memo)(initial_state(disjoint16)) == 0
 
-    def test_state_outside_instance_rejected(self, p4):
-        for alive, patience in [
-            (0, (0, 0, 0, 4)),  # 1 << (m + w * n): one past the last field
-            (0, (2, 2, 2, 8)),  # a patience wider than its field
-            (0, (2, 2, 2, 2, 1)),  # a fifth vertex
-            (-1, (0, 0, 0, 0)),  # negative
-            (0b001, (0, 2, 2, 2)),  # not canonical: edge 0 alive at exhausted vertex 0
-            (0b100, (2, 2, 2, 0)),  # not canonical: edge 2 alive at exhausted vertex 3
+    def test_state_outside_instance_rejected(self):
+        # Every vertex's patience is below its degree: fields of 1, 2, 2 and
+        # 1 bits above the 5 alive bits, so a key has 11 bits.
+        inst = Instance(
+            n=4,
+            edges=((0, 1, 0.5), (0, 2, 0.5), (1, 2, 0.5), (1, 3, 0.5), (2, 3, 0.5)),
+            patience=(1, 2, 2, 1),
+        )
+        _, top = field_layout(inst)
+        assert top == 11
+        for key in [
+            pack_key(inst, 0, (0, 0, 0, 2)),  # 1 << 11: one past the last field
+            pack_key(inst, 0, (1, 2, 2, 3)),  # a patience wider than its field
+            pack_key(inst, 0, (1, 2, 2, 1)) | 1 << top,  # a field for a fifth vertex
+            pack_key(inst, -1, (0, 0, 0, 0)),  # negative
+            pack_key(inst, 0b00001, (0, 2, 2, 1)),  # not canonical: edge 0 alive at exhausted vertex 0
+            pack_key(inst, 0b10000, (1, 2, 2, 0)),  # not canonical: edge 4 alive at exhausted vertex 3
         ]:
-            key = pack_key(p4, alive, patience)
             # Checked before the solve, so nothing enters a shared memo.
             memo = {}
             with pytest.raises(ValueError):
-                optimal_policy(p4, memo=memo)(key)
+                optimal_policy(inst, memo=memo)(key)
             assert memo == {}
+
+    def test_path16_answered_without_force(self):
+        # Patience 3 is above every path vertex's degree, so no vertex has a
+        # field and a key is the 15 alive bits; a field per vertex would take
+        # the solve past core.MAX_STATES.
+        inst = Instance(
+            n=16,
+            edges=tuple((i, i + 1, 0.3 + 0.02 * i) for i in range(15)),
+            patience=(3,) * 16,
+        )
+        value, memo = optimal_value(inst)
+        assert len(memo) == 2**15
+        assert value == tree_value(build_tree(inst, optimal_policy(inst, memo=memo)))
 
 
 class TestCanonicalStates:
@@ -119,7 +155,7 @@ class TestCanonicalStates:
         for key in memo:
             alive, patience = unpack_key(inst, key)
             assert not any(
-                alive >> e & 1 and not (patience[u] and patience[v])
+                alive >> e & 1 and 0 in (patience[u], patience[v])
                 for e, (u, v, _) in enumerate(inst.edges)
             )
 
@@ -145,6 +181,35 @@ class TestCanonicalStates:
                 patience=(5, 4, 2, 6),
             )
         )
+
+    @staticmethod
+    def _with_patience(inst, patience_of_degree):
+        """(inst with each vertex's patience drawn from its degree, degrees)."""
+        degree = [sum(v in e[:2] for e in inst.edges) for v in range(inst.n)]
+        patience = tuple(map(patience_of_degree, degree))
+        return Instance(n=inst.n, edges=inst.edges, patience=patience), degree
+
+    def test_no_field_instances_match_reference(self):
+        # Patience at least the degree everywhere: every key is its alive bits,
+        # and raw states that differ only in patience share one key.
+        rng = random.Random(30)
+        for inst in random_instances(seed=30, count=60):
+            inst, _ = self._with_patience(inst, lambda d: max(d, 1) + rng.randint(0, 1))
+            assert field_layout(inst)[1] == inst.m
+            self._check_against_reference(inst)
+
+    def test_mixed_field_instances_match_reference(self):
+        # Patience from 1 to degree + 1: each instance checked has a vertex
+        # with a field and a vertex of degree >= 2 without one.
+        rng = random.Random(31)
+        checked = 0
+        for inst in random_instances(seed=31, count=200):
+            inst, degree = self._with_patience(inst, lambda d: rng.randint(1, d + 1))
+            fields, _ = field_layout(inst)
+            if any(fields) and any(f is None and d >= 2 for f, d in zip(fields, degree)):
+                self._check_against_reference(inst)
+                checked += 1
+        assert checked >= 50
 
     def _check_closed_under_transitions(self, inst):
         _, memo = optimal_value(inst, force=True)
@@ -174,7 +239,7 @@ class TestCanonicalStates:
             for family, n in (("gnp", 8), ("complete", 7), ("path", 12))
         ]
         counts = [len(optimal_value(inst)[1]) for inst in ladder + [disjoint16]]
-        assert counts == [17_110, 4_979, 10_836, 65_536]
+        assert counts == [17_110, 4_979, 781, 65_536]
 
 
 class TestOptimalPolicy:
