@@ -14,7 +14,7 @@ import sys
 import time
 
 from .core import InstanceError, SizeCapError, format_instance, parse_instance
-from .generator import GeneratorSpec, generate_instances
+from .generator import GeneratorSpec, iter_instances
 from .montecarlo import simulate
 from .policy import build_tree, greedy_policy, tree_value
 from .proofcheck import TOL, ChainReport, check_chain
@@ -124,7 +124,7 @@ def cmd_scan(args):
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:
             f.write(",".join(ChainReport.csv_header()) + "\n")
-            for i, inst in enumerate(generate_instances(spec, args.count)):
+            for i, inst in enumerate(iter_instances(spec, args.count)):
                 report = check_chain(inst, f"{args.family}-{args.seed}-{i}", args.force)
                 f.write(",".join(report.csv_row()) + "\n")
                 if not report.passed:

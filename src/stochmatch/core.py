@@ -5,7 +5,8 @@ and a patience number on every vertex.  A state is one int, its canonical
 packed key: which edges are still alive and how much patience is left at
 each vertex whose patience is below its degree, the only vertices whose
 patience can run out.  The layout is fixed per instance, and this module
-alone knows it; transitions map a key to a child key.
+alone knows it; transitions map a key to a child key.  Every key comes from
+initial_state and the transitions, so no key is checked against the layout.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class Instance:
 
     @cached_property
     def _layout(self):
-        """(incident edges, field unit, field mask, key width) of the packed key.
+        """(incident edges, field unit, field mask) of the packed key.
 
         Worked out once per instance, in one pass over the edges: a vertex
         whose patience is below its degree gets a field patience.bit_length()
@@ -107,7 +108,7 @@ class Instance:
                 unit[v] = 1 << top
                 field[v] = ((1 << t.bit_length()) - 1) << top
                 top += t.bit_length()
-        return tuple(inc), tuple(unit), tuple(field), top
+        return tuple(inc), tuple(unit), tuple(field)
 
 
 def state_budget(force=False):
@@ -223,7 +224,7 @@ def kernel(inst):
     other edges 0.  A success child is key & keep; a failure child is
     key - dec, less the other edges of an endpoint whose field reaches 0.
     """
-    inc, unit, field, _ = inst._layout
+    inc, unit, field = inst._layout
     return [
         (
             field[u],
@@ -241,19 +242,8 @@ def kernel(inst):
 
 def initial_state(inst):
     """Key with all edges alive and full patience."""
-    _, unit, _, _ = inst._layout
+    _, unit, _ = inst._layout
     return (1 << inst.m) - 1 | sum(t * b for t, b in zip(inst.patience, unit))
-
-
-def check_key(inst, key):
-    """Raise ValueError unless key is a canonical state key of the instance."""
-    _, _, field, top = inst._layout
-    if not 0 <= key < 1 << top:
-        raise ValueError("state key does not fit this instance")
-    for e in probeable_edges(inst, key):
-        u, v, _ = inst.edges[e]
-        if field[u] and not key & field[u] or field[v] and not key & field[v]:
-            raise ValueError(f"edge {e} is alive at a vertex with no patience left")
 
 
 def probeable_edges(inst, key):

@@ -78,7 +78,13 @@ def generate_instance(spec, rng):
     return Instance(n=spec.n, edges=edges, patience=patience)
 
 
-def generate_instances(spec, count):
-    """Deterministic stream of `count` instances for a fixed spec."""
+def iter_instances(spec, count):
+    """Deterministic stream of `count` instances for a fixed spec, made lazily."""
     rng = random.Random(spec.seed)
-    return [generate_instance(spec, rng) for _ in range(count)]
+    for _ in range(count):
+        yield generate_instance(spec, rng)
+
+
+def generate_instances(spec, count):
+    """The instances of iter_instances(spec, count), as a list."""
+    return list(iter_instances(spec, count))

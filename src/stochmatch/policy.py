@@ -101,9 +101,7 @@ def tree_value(t):
     return t.value
 
 
-def subtree_value(t):
-    """Expected matched count of the subtree rooted at t."""
-    return t.value
+subtree_value = tree_value  # the subtree rooted at t: the same read
 
 
 def policy_value(inst, pol, force=False):

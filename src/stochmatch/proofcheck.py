@@ -13,8 +13,9 @@ children, the states after greedy's first probe ab succeeds and after it
 fails.  The events module, through check_key_lemma, is the reference
 specification of those events.
 
-check_lemma31 (E T(v) <= E L(v) + 1) and check_subtree_optimality check an
-optimal tree node by node.  TOL is the one float tolerance: for the chain's
+check_lemma31 (E T(v) <= E L(v) + 1) checks an optimal tree node by node,
+and check_subtree_optimality checks any tree of the instance against the
+root solve's memo.  TOL is the one float tolerance: for the chain's
 verdicts, for both node checks and for the ratio command's exit status.  A
 conditional on "ab never probed" is undefined iff that event's mass is
 exactly 0, and then counts as 0.
@@ -378,15 +379,13 @@ class OptimalityReport:
 def check_subtree_optimality(inst, t, force=False):
     """Check that each distinct subtree's value matches the optimum of its state.
 
-    Each node's state is solved through the optimal policy, under
-    core.MAX_STATES or with no budget if force, and its optimum read from
-    the policy's memo.
+    inst is solved once from the root, under core.MAX_STATES or with no
+    budget if force, and each node's optimum read from that memo, which holds
+    every state a tree of inst can reach.
     """
     report = OptimalityReport()
-    memo = {}
-    solve = optimal_policy(inst, force=force, memo=memo)
+    _, memo = optimal_value(inst, force)
     for node, path in _first_paths(t):
-        solve(node.state)
         opt = memo[node.state][0]
         gap = abs(opt - node.value)
         report.nodes_checked += 1

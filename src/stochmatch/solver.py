@@ -6,14 +6,15 @@ Argmax ties break by ascending edge index under exact float comparison.
 
 The memo is keyed by canonical packed states (see core.kernel), so alive and
 probeable coincide and states with the same future are solved once.  _solve
-inlines core's apply_success and apply_failure: it is the DP's inner loop.
-A key from outside reaches _solve only through optimal_policy, which checks
-it and reads the state budget.
+inlines core's apply_success and apply_failure: it is the DP's inner loop,
+and only optimal_value calls it, once, from the root.  That root solve holds
+every state any policy on the instance can reach, so the optimal policy is a
+read of its memo.
 """
 
 from __future__ import annotations
 
-from .core import SizeCapError, check_key, initial_state, kernel, state_budget
+from .core import SizeCapError, initial_state, kernel, state_budget
 
 
 def _solve(key, mask, rows, memo, limit):
@@ -22,8 +23,7 @@ def _solve(key, mask, rows, memo, limit):
     Every alive edge of a canonical key is probeable, and both children are
     canonical again.  Alive edges are tried in ascending index order and only
     a strictly larger value replaces the best, so argmax ties break by lowest
-    index.  SizeCapError rather than store more than limit states, so each
-    entry memo keeps is solved in full.
+    index.  SizeCapError rather than store more than limit states.
     """
     best_val = 0.0
     best_edge = None
@@ -55,8 +55,9 @@ def optimal_value(inst, force=False):
     """Optimal expected matched count and the memo of solved states.
 
     The memo maps canonical packed state keys (see core.kernel) to (value,
-    best edge or None); optimal_policy keys a shared memo the same way.
-    Beyond core.MAX_STATES states: SizeCapError, unless force.
+    best edge or None); it holds every state reachable from the initial
+    state, and optimal_policy reads it.  Beyond core.MAX_STATES states:
+    SizeCapError, unless force.
     """
     memo = {}
     mask, limit = (1 << inst.m) - 1, state_budget(force)
@@ -65,29 +66,21 @@ def optimal_value(inst, force=False):
 
 
 def optimal_policy(inst, force=False, memo=None):
-    """Deterministic policy reading argmax choices from the DP, lazily.
+    """Deterministic policy reading argmax choices from a root solve's memo.
 
-    States never reached during the initial solve are solved on demand, so
-    the policy is optimal on every state, reachable or not.  It fills memo if
-    given.  A decision is one memo read; a key missing from the memo is
-    checked (ValueError if it is not a canonical key of inst) and solved.
-    The transition rows are built on the first miss, so a policy over a memo
-    that already holds every state it is asked about never builds them.
-    The state budget is core.MAX_STATES when the policy is made, or force.
+    memo is the one optimal_value returned for inst; without it, inst is
+    solved once, here, under core.MAX_STATES unless force.  A decision is one
+    memo read.  The memo holds every state reachable from the initial state,
+    so a key missing from it is not one a policy on inst can meet: ValueError,
+    and the memo is left as it was.
     """
-    memo = {} if memo is None else memo
-    mask, limit = (1 << inst.m) - 1, state_budget(force)
-    rows = None
+    if memo is None:
+        _, memo = optimal_value(inst, force)
 
     def choose(key):
-        nonlocal rows
         entry = memo.get(key)
         if entry is None:
-            check_key(inst, key)
-            if rows is None:
-                rows = kernel(inst)
-            entry = _solve(key, mask, rows, memo, limit)
+            raise ValueError("state key is not reachable in this instance")
         return entry[1]
 
     return choose
-

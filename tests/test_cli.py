@@ -30,6 +30,10 @@ DISJOINT24 = "stochmatch 1\n48 24\n" + " ".join(["1"] * 48) + "\n" + "".join(
 STAR40 = "stochmatch 1\n41 40\n" + " ".join(["1"] * 41) + "\n" + "".join(
     f"0 {i} 0.5\n" for i in range(1, 41)
 )
+# A star on 301 leaves, p = 0.01, whose center has patience 300.
+STAR301 = "stochmatch 1\n302 301\n300" + " 1" * 301 + "\n" + "".join(
+    f"0 {i} 0.01\n" for i in range(1, 302)
+)
 # The path on 16 vertices with patience 3: no vertex has a patience field,
 # so its 2^15 DP states are within the budget.
 PATH16 = format_instance(
@@ -112,9 +116,11 @@ class TestRatio:
         assert out == "opt 0.000000000000\ngrd 0.000000000000\nratio 1.000000000000\n"
 
     def test_patience_beyond_a_byte(self, write, capsys):
-        path = write("stochmatch 1\n2 1\n300 1\n0 1 0.5\n")
-        assert main(["ratio", "--instance", path, "--force"]) == 0
-        assert "opt 0.500000000000" in capsys.readouterr().out
+        # The 301-leaf star's center, patience 300, has a 9-bit field.  Greedy's
+        # tree is small there, but ratio's DP would pass core.MAX_STATES, so
+        # this runs eval.
+        assert main(["eval", "--instance", write(STAR301), "--policy", "greedy"]) == 0
+        assert capsys.readouterr().out == "0.950959105929\n"  # 1 - 0.99^300
 
 
 class TestCheck:
@@ -218,7 +224,7 @@ class TestScan:
         def no_instances(spec, count):
             raise AssertionError("instances generated before --out was opened")
 
-        monkeypatch.setattr(cli, "generate_instances", no_instances)
+        monkeypatch.setattr(cli, "iter_instances", no_instances)
         argv = ["scan", "--count", "1", "--out", str(tmp_path / "missing" / "x.csv")]
         assert main(argv) == 2
         captured = capsys.readouterr()

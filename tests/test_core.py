@@ -289,22 +289,6 @@ class TestStateBudget:
         with pytest.raises(SizeCapError, match=f"more than {len(memo) - 1} states"):
             optimal_value(p4)
 
-    def test_refusal_keeps_only_solved_entries(self, monkeypatch):
-        k5 = Instance(
-            n=5,
-            edges=tuple((u, v, 0.1 * (u + v + 1)) for u in range(5) for v in range(u + 1, 5)),
-            patience=(2,) * 5,
-        )
-        _, full = optimal_value(k5)
-        budget = len(full) // 2
-        memo = {}
-        monkeypatch.setattr(core, "MAX_STATES", budget)
-        choose = optimal_policy(k5, memo=memo)
-        with pytest.raises(SizeCapError):
-            choose(initial_state(k5))
-        assert len(memo) == budget
-        assert all(full[key] == entry for key, entry in memo.items())
-
     def test_subtree_optimality_under_force(self, p4, monkeypatch):
         # A tree built with force is checked with force, not under the budget.
         # Greedy is not optimal on P4, so its report has violations.

@@ -5,12 +5,19 @@ from stochmatch.generator import (
     P_GRID,
     GeneratorSpec,
     generate_instances,
+    iter_instances,
 )
 
 
 def test_deterministic_for_fixed_seed():
     spec = GeneratorSpec(family="gnp", n=5, seed=7)
     assert generate_instances(spec, 20) == generate_instances(spec, 20)
+
+
+def test_stream_is_lazy_and_matches_the_list():
+    spec = GeneratorSpec(family="gnp", n=5, seed=7)
+    stream = iter_instances(spec, 10**18)  # a list this long could not be built
+    assert [next(stream) for _ in range(20)] == generate_instances(spec, 20)
 
 
 def test_path_family():

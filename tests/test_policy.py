@@ -3,7 +3,13 @@ import weakref
 
 import pytest
 
-from conftest import arbitrary_policy, leaf_probabilities, path_sum_value, random_instances
+from conftest import (
+    arbitrary_policy,
+    field_layout,
+    leaf_probabilities,
+    path_sum_value,
+    random_instances,
+)
 
 from stochmatch import core
 from stochmatch.core import (
@@ -185,8 +191,17 @@ class TestValues:
         assert policy_value(inst, greedy_policy(inst)) == pytest.approx(0.98, abs=1e-12)
 
     def test_patience_beyond_a_byte(self):
-        inst = Instance(n=2, edges=((0, 1, 0.5),), patience=(300, 1))
-        assert policy_value(inst, greedy_policy(inst), force=True) == 0.5
+        # A 301-leaf star whose center has patience 300: a 9-bit field, so
+        # greedy stops after 300 failures, and without the field it would not.
+        k = 301
+        inst = Instance(
+            n=k + 1,
+            edges=tuple((0, i, 0.01) for i in range(1, k + 1)),
+            patience=(300,) + (1,) * k,
+        )
+        fields, top = field_layout(inst)
+        assert (fields[0], top) == ((k, 9), k + 9)
+        assert policy_value(inst, greedy_policy(inst)) == pytest.approx(1 - 0.99**300, abs=1e-12)
 
     def test_more_than_32_edges(self):
         # A star whose center has patience 1: greedy's one probe ends every path.

@@ -114,6 +114,10 @@ class TestPackedKey:
         )
         _, top = field_layout(inst)
         assert top == 11
+        # A policy reads the root solve's memo and never adds to it.
+        _, memo = optimal_value(inst)
+        assert len(memo) == 23
+        solved = dict(memo)
         for key in [
             pack_key(inst, 0, (0, 0, 0, 2)),  # 1 << 11: one past the last field
             pack_key(inst, 0, (1, 2, 2, 3)),  # a patience wider than its field
@@ -121,12 +125,11 @@ class TestPackedKey:
             pack_key(inst, -1, (0, 0, 0, 0)),  # negative
             pack_key(inst, 0b00001, (0, 2, 2, 1)),  # not canonical: edge 0 alive at exhausted vertex 0
             pack_key(inst, 0b10000, (1, 2, 2, 0)),  # not canonical: edge 4 alive at exhausted vertex 3
+            pack_key(inst, 0b11111, (1, 1, 2, 1)),  # canonical, but no probe has failed at vertex 1
         ]:
-            # Checked before the solve, so nothing enters a shared memo.
-            memo = {}
             with pytest.raises(ValueError):
                 optimal_policy(inst, memo=memo)(key)
-            assert memo == {}
+            assert memo == solved
 
     def test_path16_answered_without_force(self):
         # Patience 3 is above every path vertex's degree, so no vertex has a
@@ -259,28 +262,6 @@ class TestOptimalPolicy:
         monkeypatch.setattr(solver, "kernel", no_rows)
         for inst, (value, memo) in zip(instances, solved):
             assert build_tree(inst, optimal_policy(inst, memo=memo)).value == value
-
-    def test_cold_policy_builds_rows_once(self, monkeypatch, p4):
-        built = []
-
-        def counted(inst):
-            built.append(inst)
-            return kernel(inst)
-
-        monkeypatch.setattr(solver, "kernel", counted)
-        memo = {}
-        pol = optimal_policy(p4, memo=memo)
-        assert built == []
-        rows, root = kernel(p4), initial_state(p4)
-        # After a-b or c-d succeeds only the other end edge is left: two
-        # disjoint states, then the root, each a memo miss.
-        keys = [apply_success(rows, root, 0), apply_success(rows, root, 2), root]
-        misses = 0
-        for key in keys:
-            misses += key not in memo
-            pol(key)
-        assert misses == 3
-        assert built == [p4]
 
     def test_k4_certain_probes_perfect_matching(self):
         k4 = Instance(
