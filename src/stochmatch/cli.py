@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 property violation (a checked relation failed),
 2 usage, parse or output-file error, a solve or tree past the state budget
 (core.MAX_STATES; --force lifts it), recursion depth or memory run out, or a
 standard output closed early (as in `stochmatch scan ... | head -1`).
+Commands raise on every error, and main alone maps an exception to status 2
+and one `error:` line; only argparse exits on its own, for a usage error.
 """
 
 from __future__ import annotations
@@ -52,30 +54,17 @@ _density.__name__ = "float"  # argparse reports "invalid float value: ..."
 def _load_instance(path):
     try:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
-    except UnicodeDecodeError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        sys.exit(2)
-    try:
-        return parse_instance(text)
-    except InstanceError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        sys.exit(2)
-
-
-def _policy_for(inst, name, force):
-    if name == "greedy":
-        return greedy_policy(inst)
-    return optimal_policy(inst, force=force)
+            return parse_instance(f.read())
+    except (UnicodeDecodeError, InstanceError) as exc:
+        raise InstanceError(f"{path}: {exc}") from exc
 
 
 def cmd_eval(args):
     inst = _load_instance(args.instance)
-    pol = _policy_for(inst, args.policy, args.force)
-    value = tree_value(build_tree(inst, pol, force=args.force))
+    if args.policy == "greedy":
+        value = tree_value(build_tree(inst, greedy_policy(inst), force=args.force))
+    else:
+        value, _ = optimal_value(inst, force=args.force)
     print(_fmt(value))
     return 0
 
@@ -94,8 +83,7 @@ def cmd_ratio(args):
 def cmd_check(args):
     inst = _load_instance(args.instance)
     if inst.m == 0:
-        print(f"error: {args.instance}: the chain check needs an edge", file=sys.stderr)
-        return 2
+        raise InstanceError(f"{args.instance}: the chain check needs an edge")
     report = check_chain(inst, instance_id=args.instance, force=args.force)
     print(",".join(ChainReport.csv_header()))
     print(",".join(report.csv_row()))
@@ -105,36 +93,28 @@ def cmd_check(args):
 
 
 def cmd_scan(args):
-    try:
-        spec = GeneratorSpec(
-            family=args.family,
-            n=args.n,
-            density=args.density,
-            p_grid=not args.puniform,
-            t_max=args.tmax,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = GeneratorSpec(
+        family=args.family,
+        n=args.n,
+        density=args.density,
+        p_grid=not args.puniform,
+        t_max=args.tmax,
+        seed=args.seed,
+    )
     start = time.monotonic()
     failures = []
     worst_ratio = 0.0
     worst_inst = None
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(",".join(ChainReport.csv_header()) + "\n")
-            for i, inst in enumerate(iter_instances(spec, args.count)):
-                report = check_chain(inst, f"{args.family}-{args.seed}-{i}", args.force)
-                f.write(",".join(report.csv_row()) + "\n")
-                if not report.passed:
-                    failures.append(report.instance_id)
-                if report.ratio > worst_ratio:
-                    worst_ratio = report.ratio
-                    worst_inst = inst
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(ChainReport.csv_header()) + "\n")
+        for i, inst in enumerate(iter_instances(spec, args.count)):
+            report = check_chain(inst, f"{args.family}-{args.seed}-{i}", args.force)
+            f.write(",".join(report.csv_row()) + "\n")
+            if not report.passed:
+                failures.append(report.instance_id)
+            if report.ratio > worst_ratio:
+                worst_ratio = report.ratio
+                worst_inst = inst
     elapsed = time.monotonic() - start
     print(f"instances {args.count}")
     print(f"failures {len(failures)}" + (f" ({', '.join(failures)})" if failures else ""))
@@ -148,7 +128,10 @@ def cmd_scan(args):
 
 def cmd_simulate(args):
     inst = _load_instance(args.instance)
-    pol = _policy_for(inst, args.policy, args.force)
+    if args.policy == "greedy":
+        pol = greedy_policy(inst)
+    else:
+        pol = optimal_policy(inst, force=args.force)
     result = simulate(inst, pol, args.trials, args.seed)
     print(f"trials {result.trials}")
     print(f"mean {_fmt(result.mean)}")
@@ -228,6 +211,9 @@ def main(argv=None):
         return 2
     except (RecursionError, MemoryError) as exc:
         print(f"error: instance too large to evaluate ({type(exc).__name__})", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -21,12 +21,11 @@ from functools import cached_property
 MAX_STATES = 1_000_000
 
 
-class InstanceError(Exception):
+class InstanceError(ValueError):
     """Malformed instance text: syntax or semantic violation."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -160,13 +159,13 @@ def parse_instance(text):
     if len(parts) != n:
         raise InstanceError(f"expected {n} patience values, got {len(parts)}", line=lineno)
     patience = []
-    for col, tok in enumerate(parts):
+    for tok in parts:
         try:
             t = int(tok)
         except ValueError:
-            raise InstanceError(f"patience '{tok}' is not an integer", line=lineno, column=col)
+            raise InstanceError(f"patience '{tok}' is not an integer", line=lineno)
         if t < 1:
-            raise InstanceError(f"patience must be >= 1, got {t}", line=lineno, column=col)
+            raise InstanceError(f"patience must be >= 1, got {t}", line=lineno)
         patience.append(t)
 
     if len(lines) != 3 + m:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .core import apply_failure, apply_success, initial_state, kernel
 from .events import (
     FailsKthOfVertex,
     Not,
@@ -381,11 +382,23 @@ def check_subtree_optimality(inst, t, force=False):
 
     inst is solved once from the root, under core.MAX_STATES or with no
     budget if force, and each node's optimum read from that memo, which holds
-    every state a tree of inst can reach.
+    every state a tree of inst can reach.  ValueError if t is not a tree of
+    inst: its root must be inst's initial state, and each internal node must
+    probe an edge of inst alive in its state, with children at its outcomes.
     """
+    if t.state != initial_state(inst):
+        raise ValueError("the tree's root is not the instance's initial state")
+    rows = kernel(inst)
     report = OptimalityReport()
     _, memo = optimal_value(inst, force)
     for node, path in _first_paths(t):
+        if not node.is_leaf and (
+            node.edge not in range(inst.m)
+            or (node.u, node.v, node.p) != inst.edges[node.edge]
+            or node.left.state != apply_success(rows, node.state, node.edge)
+            or node.right.state != apply_failure(rows, node.state, node.edge)
+        ):
+            raise ValueError(f"node at path {path!r} is not a node of a tree of this instance")
         opt = memo[node.state][0]
         gap = abs(opt - node.value)
         report.nodes_checked += 1

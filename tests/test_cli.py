@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -69,16 +70,37 @@ class TestEval:
         assert main(["eval", "--instance", write(EMPTY)]) == 0
         assert float(capsys.readouterr().out) == 0.0
 
+    def test_p4_optimal_reads_the_solve(self, write, capsys, monkeypatch):
+        # The optimal value is the root solve's; no tree is built for it.
+        def no_tree(*args, **kwargs):
+            raise AssertionError("build_tree called")
+
+        monkeypatch.setattr(cli, "build_tree", no_tree)
+        assert main(["eval", "--instance", write(P4), "--policy", "optimal"]) == 0
+        assert capsys.readouterr().out == "1.127500000000\n"
+
     def test_parse_error_exit_2(self, write, capsys):
         path = write("not an instance\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--instance", path])
-        assert exc.value.code == 2
+        assert main(["eval", "--instance", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: line 1: expected header 'stochmatch 1'\n"
 
-    def test_missing_file_exit_2(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--instance", str(tmp_path / "nope.txt")])
-        assert exc.value.code == 2
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        assert main(["eval", "--instance", str(tmp_path / "nope.txt")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: [Errno 2] ")
+
+    def test_missing_file_exit_2_on_a_thread(self, tmp_path, capsys):
+        # A SystemExit raised on a thread is dropped, so main must return it.
+        status = []
+        argv = ["eval", "--instance", str(tmp_path / "nope.txt")]
+        worker = threading.Thread(target=lambda: status.append(main(argv)))
+        worker.start()
+        worker.join()
+        assert status == [2]
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
 
 
 class TestInstanceFile:
@@ -86,9 +108,7 @@ class TestInstanceFile:
     def test_non_utf8_exit_2(self, command, tmp_path, capsys):
         path = tmp_path / "latin1.txt"
         path.write_bytes(SINGLE.encode() + b"# \xff\n")
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--instance", str(path)])
-        assert exc.value.code == 2
+        assert main([command, "--instance", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {path}: ")

@@ -346,3 +346,25 @@ class TestSubtreeOptimality:
         inst = Instance(n=6, edges=p4.edges + ((4, 5, 0.9),), patience=p4.patience + (1, 1))
         report = check_subtree_optimality(inst, build_tree(inst, greedy_policy(inst)))
         assert [path for path, _, _ in report.violations] == ["", "L"]
+
+    def test_tree_of_another_instance_rejected(self, p4, single_edge):
+        # Each tree once got a report or a bare KeyError: greedy's single
+        # edge read ('', 0.7, 0.5), and P4 with its middle p at 0.6 read
+        # ('', 1.15, 1.1275) and ('R', 0.8, 0.755), since their keys are keys
+        # of P4's memo; the 5-vertex graph's root key 4095 is not one.
+        p4_middle = Instance(
+            n=4, edges=((0, 1, 0.5), (1, 2, 0.6), (2, 3, 0.5)), patience=p4.patience
+        )
+        band = Instance(
+            n=5,
+            edges=tuple((u, v, 0.5) for u in range(5) for v in range(u + 1, min(u + 3, 5))),
+            patience=(1,) * 5,
+        )
+        foreign = [
+            build_tree(single_edge, greedy_policy(single_edge)),
+            build_tree(p4_middle, optimal_policy(p4_middle)),
+            build_tree(band, greedy_policy(band)),
+        ]
+        for t in foreign:
+            with pytest.raises(ValueError, match="instance"):
+                check_subtree_optimality(p4, t)
