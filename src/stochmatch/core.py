@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 # States a solve's memo or a decision tree may hold unless forced.  A memo entry
@@ -35,37 +34,34 @@ class SizeCapError(Exception):
     """A solve or tree build needs more than MAX_STATES states (force lifts it)."""
 
 
-@dataclass(frozen=True)
 class Instance:
     """Graph with edge probabilities and vertex patience numbers.
 
-    Vertices are 0..n-1; edges keep their construction order and are
-    identified by index for the instance's whole lifetime.  edges, each edge
-    and patience must be tuples, so an instance hashes; n, the endpoints and
-    the patience numbers must be ints; p may be any real in range.
+    Vertices are 0..n-1; edges holds (u, v, p) with u < v, kept in
+    construction order and identified by index for the instance's whole
+    lifetime; patience holds n numbers, each >= 1.  edges, each edge and
+    patience must be tuples, so an instance hashes; n, the endpoints and the
+    patience numbers must be ints; p may be any real in range.  An instance
+    is immutable, and == and hash go by (n, edges, patience).
     """
 
-    n: int
-    edges: tuple  # tuple of (u, v, p) with u < v
-    patience: tuple  # length n, each >= 1
-
-    def __post_init__(self):
-        if not isinstance(self.n, int):
+    def __init__(self, n, edges, patience):
+        if not isinstance(n, int):
             raise ValueError("vertex count must be an int")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("negative vertex count")
-        if not (isinstance(self.edges, tuple) and isinstance(self.patience, tuple)):
+        if not (isinstance(edges, tuple) and isinstance(patience, tuple)):
             raise ValueError("edges and patience must be tuples")
-        if len(self.patience) != self.n:
+        if len(patience) != n:
             raise ValueError("patience length must equal vertex count")
         seen = set()
-        for i, edge in enumerate(self.edges):
-            if not isinstance(edge, tuple):
+        for i, edge in enumerate(edges):
+            if not (isinstance(edge, tuple) and len(edge) == 3):
                 raise ValueError(f"edge {i}: must be a (u, v, p) tuple")
             u, v, p = edge
             if not (isinstance(u, int) and isinstance(v, int)):
                 raise ValueError(f"edge {i}: each endpoint must be an int")
-            if not (0 <= u < v < self.n):
+            if not (0 <= u < v < n):
                 raise ValueError(f"edge {i}: endpoints must satisfy 0 <= u < v < n")
             try:
                 in_range = sys.float_info.min <= p <= 1.0
@@ -76,11 +72,35 @@ class Instance:
             if (u, v) in seen:
                 raise ValueError(f"edge {i}: duplicate edge ({u}, {v})")
             seen.add((u, v))
-        for v, t in enumerate(self.patience):
+        for v, t in enumerate(patience):
             if not isinstance(t, int):
                 raise ValueError(f"vertex {v}: patience must be an int")
             if t < 1:
                 raise ValueError(f"vertex {v}: patience must be >= 1")
+        self.__dict__.update(n=n, edges=edges, patience=patience)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return self.n, self.edges, self.patience
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, which validates
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"Instance(n={self.n!r}, edges={self.edges!r}, patience={self.patience!r})"
 
     @property
     def m(self):

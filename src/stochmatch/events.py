@@ -8,11 +8,10 @@ conditional probability is undefined iff its condition's mass is exactly 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     edge: int
     u: int
     v: int
@@ -27,27 +26,27 @@ class Event:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class ProbesEdge(Event):
-    edge: int
+    def __init__(self, edge):
+        self.edge = edge
 
     def holds(self, path):
         return any(step.edge == self.edge for step in path)
 
 
-@dataclass(frozen=True)
 class TakesEdge(Event):
-    edge: int
+    def __init__(self, edge):
+        self.edge = edge
 
     def holds(self, path):
         return any(step.edge == self.edge and step.success for step in path)
 
 
-@dataclass(frozen=True)
 class TakesVertex(Event):
     """Some edge incident to the vertex is probed successfully."""
 
-    vertex: int
+    def __init__(self, vertex):
+        self.vertex = vertex
 
     def holds(self, path):
         return any(step.touches(self.vertex) and step.success for step in path)
@@ -64,53 +63,53 @@ def _kth_touch(path, vertex, k):
     return None
 
 
-@dataclass(frozen=True)
 class ProbesVertexKth(Event):
     """The path contains a k-th probe touching the vertex."""
 
-    vertex: int
-    k: int
+    def __init__(self, vertex, k):
+        self.vertex = vertex
+        self.k = k
 
     def holds(self, path):
         return _kth_touch(path, self.vertex, self.k) is not None
 
 
-@dataclass(frozen=True)
 class TakesVertexAtKth(Event):
     """The k-th probe touching the vertex occurs and succeeds."""
 
-    vertex: int
-    k: int
+    def __init__(self, vertex, k):
+        self.vertex = vertex
+        self.k = k
 
     def holds(self, path):
         step = _kth_touch(path, self.vertex, self.k)
         return step is not None and step.success
 
 
-@dataclass(frozen=True)
 class FailsKthOfVertex(Event):
     """The k-th probe touching the vertex occurs and fails."""
 
-    vertex: int
-    k: int
+    def __init__(self, vertex, k):
+        self.vertex = vertex
+        self.k = k
 
     def holds(self, path):
         step = _kth_touch(path, self.vertex, self.k)
         return step is not None and not step.success
 
 
-@dataclass(frozen=True)
 class Not(Event):
-    inner: Event
+    def __init__(self, inner):
+        self.inner = inner
 
     def holds(self, path):
         return not self.inner.holds(path)
 
 
-@dataclass(frozen=True)
 class And(Event):
-    a: Event
-    b: Event
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
 
     def holds(self, path):
         return self.a.holds(path) and self.b.holds(path)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .core import Instance
 
@@ -17,32 +16,35 @@ P_GRID = tuple(round(0.1 * k, 1) for k in range(1, 11))
 MIN_NONEMPTY_CHANCE = 1e-3
 
 
-@dataclass(frozen=True)
 class GeneratorSpec:
-    family: str = "gnp"
-    n: int = 5
-    density: float = 0.5
-    p_grid: bool = True  # False: uniform in (0, 1]
-    t_max: int = 3
-    seed: int = 0
+    """Family, size and seed of a deterministic instance stream; immutable.
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 2:
+    p_grid False draws each p uniformly from (0, 1] instead of P_GRID.
+    """
+
+    def __init__(self, family="gnp", n=5, density=0.5, p_grid=True, t_max=3, seed=0):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if n < 2:
             raise ValueError("need at least 2 vertices")
-        if not 0.0 < self.density <= 1.0:
+        if not 0.0 < density <= 1.0:
             raise ValueError("density must be in (0, 1]")
-        if self.t_max < 1:
+        if t_max < 1:
             raise ValueError("t_max must be >= 1")
-        if self.family == "gnp" and self.density < 1.0:
-            pairs = self.n * (self.n - 1) // 2
-            nonempty = -math.expm1(pairs * math.log1p(-self.density))
+        if family == "gnp" and density < 1.0:
+            pairs = n * (n - 1) // 2
+            nonempty = -math.expm1(pairs * math.log1p(-density))
             if nonempty < MIN_NONEMPTY_CHANCE:
                 raise ValueError(
-                    f"gnp with n={self.n} and density {self.density} draws an edge with "
+                    f"gnp with n={n} and density {density} draws an edge with "
                     f"chance {nonempty:.3g}, below {MIN_NONEMPTY_CHANCE}"
                 )
+        self.__dict__.update(
+            family=family, n=n, density=density, p_grid=p_grid, t_max=t_max, seed=seed
+        )
+
+    __setattr__ = Instance.__setattr__
+    __delattr__ = Instance.__delattr__
 
 
 def _edge_prob(rng, spec):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import apply_failure, apply_success, initial_state, kernel, state_budget
 
@@ -23,8 +23,7 @@ _MASK64 = (1 << 64) - 1
 _STOP = (None, 0.0, 0, 0, 0)
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     trials: int
     mean: float
     stddev: float

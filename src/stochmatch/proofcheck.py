@@ -23,7 +23,7 @@ exactly 0, and then counts as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import apply_failure, apply_success, initial_state, kernel
 from .events import (
@@ -87,8 +87,7 @@ def value_algR(inst, t, ab):
     return _walk(t, ab, alpha, inst.patience[alpha], beta, inst.patience[beta])[2]
 
 
-@dataclass
-class KeyLemmaResult:
+class KeyLemmaResult(NamedTuple):
     lhs: float
     rhs_lemma: float
     rhs_corollary: float
@@ -189,8 +188,7 @@ def _walk(t, ab, alpha, k_alpha, beta, k_beta):
     return (*values, probe[0], probe[1], acc_a, acc_b)
 
 
-@dataclass
-class ChainReport:
+class ChainReport(NamedTuple):
     """All quantities and verdicts for the proof chain on one instance."""
 
     instance_id: str
@@ -212,8 +210,8 @@ class ChainReport:
     cond_take_beta_kth: float
     keylem_alpha: KeyLemmaResult
     keylem_beta: KeyLemmaResult
-    slacks: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
+    slacks: dict
+    verdicts: dict
 
     @property
     def ratio(self):
@@ -298,37 +296,20 @@ def check_chain(inst, instance_id="", force=False):
     }
 
     return ChainReport(
-        instance_id=instance_id,
-        ab=ab,
-        alpha=alpha,
-        beta=beta,
-        p_ab=p_ab,
-        e_opt=e_opt,
-        e_grd=e_grd,
-        e_optprime=e_optprime,
-        e_algL=e_algL,
-        e_RL=e_RL,
-        e_algR=e_algR,
-        e_RR=e_RR,
-        p_probe_ab=p_probe,
-        cond_take_alpha=c_take_a,
-        cond_take_beta=c_take_b,
-        cond_take_alpha_kth=c_take_a_kth,
-        cond_take_beta_kth=c_take_b_kth,
-        keylem_alpha=kl_a,
-        keylem_beta=kl_b,
-        slacks=slacks,
-        verdicts=verdicts,
+        instance_id=instance_id, ab=ab, alpha=alpha, beta=beta, p_ab=p_ab, e_opt=e_opt,
+        e_grd=e_grd, e_optprime=e_optprime, e_algL=e_algL, e_RL=e_RL, e_algR=e_algR, e_RR=e_RR,
+        p_probe_ab=p_probe, cond_take_alpha=c_take_a, cond_take_beta=c_take_b,
+        cond_take_alpha_kth=c_take_a_kth, cond_take_beta_kth=c_take_b_kth,
+        keylem_alpha=kl_a, keylem_beta=kl_b, slacks=slacks, verdicts=verdicts,
     )
 
 
-@dataclass
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Per-node margins E T(v) - E L(v) for the one-plus-left-subtree bound."""
 
-    max_margin: float = float("-inf")
-    nodes_checked: int = 0
-    violations: list = field(default_factory=list)  # (path, margin)
+    max_margin: float
+    nodes_checked: int
+    violations: list  # (path, margin)
 
     @property
     def ok(self):
@@ -352,25 +333,23 @@ def _first_paths(t):
 
 def check_lemma31(t):
     """Check E T(v) <= E L(v) + 1 at each distinct internal node of an optimal tree."""
-    report = LemmaReport()
+    margins = []
+    violations = []
     for node, path in _first_paths(t):
         if node.is_leaf:
             continue
-        margin = node.value - node.left.value
-        report.nodes_checked += 1
-        report.max_margin = max(report.max_margin, margin)
-        if margin > 1.0 + TOL:
-            report.violations.append((path, margin))
-    return report
+        margins.append(node.value - node.left.value)
+        if margins[-1] > 1.0 + TOL:
+            violations.append((path, margins[-1]))
+    return LemmaReport(max(margins, default=float("-inf")), len(margins), violations)
 
 
-@dataclass
-class OptimalityReport:
+class OptimalityReport(NamedTuple):
     """Gap between each subtree's value and the optimum of its state."""
 
-    max_gap: float = 0.0
-    nodes_checked: int = 0
-    violations: list = field(default_factory=list)  # (path, subtree value, optimal value)
+    max_gap: float
+    nodes_checked: int
+    violations: list  # (path, subtree value, optimal value)
 
     @property
     def ok(self):
@@ -389,7 +368,8 @@ def check_subtree_optimality(inst, t, force=False):
     if t.state != initial_state(inst):
         raise ValueError("the tree's root is not the instance's initial state")
     rows = kernel(inst)
-    report = OptimalityReport()
+    gaps = []
+    violations = []
     _, memo = optimal_value(inst, force)
     for node, path in _first_paths(t):
         if not node.is_leaf and (
@@ -400,9 +380,7 @@ def check_subtree_optimality(inst, t, force=False):
         ):
             raise ValueError(f"node at path {path!r} is not a node of a tree of this instance")
         opt = memo[node.state][0]
-        gap = abs(opt - node.value)
-        report.nodes_checked += 1
-        report.max_gap = max(report.max_gap, gap)
-        if gap > TOL:
-            report.violations.append((path, node.value, opt))
-    return report
+        gaps.append(abs(opt - node.value))
+        if gaps[-1] > TOL:
+            violations.append((path, node.value, opt))
+    return OptimalityReport(max(gaps, default=0.0), len(gaps), violations)

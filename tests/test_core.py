@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 from fractions import Fraction
 
@@ -243,11 +245,14 @@ class TestInvariants:
             (((0, 1, 0.5),), [1, 1], "tuples"),
             ([(0, 1, 0.5)], (1, 1), "tuples"),
             (([0, 1, 0.5],), (1, 1), "tuple"),
+            (((0, 1),), (1, 1), "tuple"),
+            (((0, 1, 0.5, 1),), (1, 1), "tuple"),
         ],
     )
     def test_malformed_fields_rejected(self, edges, patience, message):
         # Accepted or half-checked, these raised TypeError: a string p from
-        # the range comparison, a list field from hash(inst).
+        # the range comparison, a list field from hash(inst).  An edge of two
+        # or four items failed to unpack, with a message that named no edge.
         with pytest.raises(ValueError, match=message):
             Instance(n=2, edges=edges, patience=patience)
 
@@ -255,6 +260,28 @@ class TestInvariants:
         inst = Instance(n=2, edges=((0, 1, Fraction(1, 2)),), patience=(1, 1))
         assert inst.edges[0][2] == 0.5
         assert hash(inst) == hash(Instance(n=2, edges=((0, 1, 0.5),), patience=(1, 1)))
+
+    def test_immutable(self, p4):
+        for name in ("n", "edges", "patience", "m"):
+            with pytest.raises(AttributeError):
+                setattr(p4, name, getattr(p4, name))
+            with pytest.raises(AttributeError):
+                delattr(p4, name)
+
+    def test_positional_equals_keyword(self, p4):
+        inst = Instance(p4.n, p4.edges, p4.patience)
+        assert inst == p4
+        assert hash(inst) == hash(p4)
+        assert inst != Instance(p4.n, p4.edges, (1,) * p4.n)
+        assert inst != (p4.n, p4.edges, p4.patience)
+        assert repr(inst) == f"Instance(n={p4.n}, edges={p4.edges!r}, patience={p4.patience!r})"
+
+    def test_copies_rebuild_through_the_constructor(self, p4):
+        initial_state(p4)  # fills the cached layout, which a copy recomputes
+        for twin in (pickle.loads(pickle.dumps(p4)), copy.copy(p4), copy.deepcopy(p4)):
+            assert twin == p4
+            assert "_layout" not in vars(twin)
+            assert initial_state(twin) == initial_state(p4)
 
 
 class TestStateBudget:

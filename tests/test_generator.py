@@ -81,6 +81,18 @@ def test_invalid_specs_rejected():
     assert GeneratorSpec(density=1.0).density == 1.0
 
 
+def test_spec_immutable():
+    spec = GeneratorSpec("path", 4, seed=3)
+    assert (spec.family, spec.n, spec.density, spec.p_grid, spec.t_max, spec.seed) == (
+        "path", 4, 0.5, True, 3, 3
+    )
+    with pytest.raises(AttributeError):
+        spec.seed = 4
+    with pytest.raises(AttributeError):
+        del spec.family
+    assert spec.seed == 3
+
+
 def test_gnp_density_too_low_to_draw_an_edge_rejected():
     # gnp redraws an empty graph: a draw that is almost never nonempty would
     # loop for ever, so the spec is refused up front.

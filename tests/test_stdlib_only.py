@@ -5,19 +5,28 @@ The grammar check parses each module with ast's feature_version=(3, 10), so
 newer syntax (such as except*) fails here even on a newer interpreter.  It
 checks syntax only: a stdlib function or argument added after 3.10 is not
 caught.
+
+Loading the package generates no code either.  Each @dataclass writes and
+compiles its methods when its module loads, and dataclasses pulls in inspect,
+ast, dis and tokenize; every CLI command is a fresh process that pays for
+its imports.  So no module imports dataclasses or inspect, and a fresh
+interpreter that imports stochmatch.cli has loaded neither.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stochmatch"
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "stochmatch"
+HEAVY = ("dataclasses", "inspect")
 
 
-def test_absolute_imports_are_stdlib():
+def _absolute_imports():
+    """(file name, module name) of each absolute import in the package."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
-    outside = []
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -26,12 +35,33 @@ def test_absolute_imports_are_stdlib():
                 names = [node.module]
             else:
                 continue
-            outside += [
-                f"{path.name}: {name}"
-                for name in names
-                if name.split(".")[0] not in sys.stdlib_module_names
-            ]
+            for name in names:
+                yield path.name, name
+
+
+def test_absolute_imports_are_stdlib():
+    outside = [
+        f"{file}: {name}"
+        for file, name in _absolute_imports()
+        if name.split(".")[0] not in sys.stdlib_module_names
+    ]
     assert outside == []
+
+
+def test_no_module_imports_dataclasses():
+    found = [f"{file}: {name}" for file, name in _absolute_imports() if name.split(".")[0] in HEAVY]
+    assert found == []
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import stochmatch.cli; "
+        f"print(*(m for m in {HEAVY!r} if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []
 
 
 def test_grammar_is_python_3_10():
