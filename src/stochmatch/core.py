@@ -21,13 +21,12 @@ MAX_STATES = 1_000_000
 
 
 class InstanceError(ValueError):
-    """Malformed instance text: syntax or semantic violation."""
+    """An instance breaks a rule: reason names it, and kind ("line", "edge"
+    or "vertex") and index say where, if known, as "<kind> <index>: <reason>"."""
 
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, reason, kind=None, index=None):
+        self.reason, self.kind, self.index = reason, kind, index
+        super().__init__(reason if kind is None else f"{kind} {index}: {reason}")
 
 
 class SizeCapError(Exception):
@@ -41,42 +40,43 @@ class Instance:
     construction order and identified by index for the instance's whole
     lifetime; patience holds n numbers, each >= 1.  edges, each edge and
     patience must be tuples, so an instance hashes; n, the endpoints and the
-    patience numbers must be ints; p may be any real in range.  An instance
-    is immutable, and == and hash go by (n, edges, patience).
+    patience numbers must be ints and p any real in range, none a bool.  The
+    one check of values: InstanceError names the edge or vertex at fault.
+    An instance is immutable, and == and hash go by (n, edges, patience).
     """
 
     def __init__(self, n, edges, patience):
-        if not isinstance(n, int):
-            raise ValueError("vertex count must be an int")
-        if n < 0:
-            raise ValueError("negative vertex count")
+        if type(n) is not int or n < 0:
+            raise InstanceError(f"vertex count must be an int >= 0, got {n!r}")
         if not (isinstance(edges, tuple) and isinstance(patience, tuple)):
-            raise ValueError("edges and patience must be tuples")
+            raise InstanceError("edges and patience must be tuples")
         if len(patience) != n:
-            raise ValueError("patience length must equal vertex count")
+            raise InstanceError("patience length must equal vertex count")
+        low = sys.float_info.min  # a subnormal p overflows the chain's (1 - p) / p
         seen = set()
         for i, edge in enumerate(edges):
             if not (isinstance(edge, tuple) and len(edge) == 3):
-                raise ValueError(f"edge {i}: must be a (u, v, p) tuple")
+                raise InstanceError("must be a (u, v, p) tuple", "edge", i)
             u, v, p = edge
-            if not (isinstance(u, int) and isinstance(v, int)):
-                raise ValueError(f"edge {i}: each endpoint must be an int")
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge {i}: endpoints must satisfy 0 <= u < v < n")
+            if not (type(u) is int and type(v) is int):
+                raise InstanceError("each endpoint must be an int", "edge", i)
+            if not 0 <= u < v < n:
+                if u == v:
+                    raise InstanceError(f"self-loop {u} {v}", "edge", i)
+                raise InstanceError(f"endpoints {u} {v} must satisfy 0 <= u < v < {n}", "edge", i)
             try:
-                in_range = sys.float_info.min <= p <= 1.0
+                in_range = low <= p <= 1.0 and p is not True
             except TypeError:
                 in_range = False
             if not in_range:
-                raise ValueError(f"edge {i}: probability must be a normal float in (0, 1]")
+                reason = f"probability must be in (0, 1], neither subnormal nor a bool, got {p!r}"
+                raise InstanceError(reason, "edge", i)
             if (u, v) in seen:
-                raise ValueError(f"edge {i}: duplicate edge ({u}, {v})")
+                raise InstanceError(f"duplicate edge {u} {v}", "edge", i)
             seen.add((u, v))
         for v, t in enumerate(patience):
-            if not isinstance(t, int):
-                raise ValueError(f"vertex {v}: patience must be an int")
-            if t < 1:
-                raise ValueError(f"vertex {v}: patience must be >= 1")
+            if type(t) is not int or t < 1:
+                raise InstanceError(f"patience must be an int >= 1, got {t!r}", "vertex", v)
         self.__dict__.update(n=n, edges=edges, patience=patience)
 
     def __setattr__(self, name, value):
@@ -155,20 +155,20 @@ def parse_instance(text):
 
     lineno, header = lines[0]
     if header.split() != ["stochmatch", "1"]:
-        raise InstanceError("expected header 'stochmatch 1'", line=lineno)
+        raise InstanceError("expected header 'stochmatch 1'", "line", lineno)
 
     if len(lines) < 2:
-        raise InstanceError("missing '<n> <m>' line", line=lineno)
+        raise InstanceError("missing '<n> <m>' line", "line", lineno)
     lineno, counts = lines[1]
     parts = counts.split()
     if len(parts) != 2:
-        raise InstanceError("expected '<n> <m>'", line=lineno)
+        raise InstanceError("expected '<n> <m>'", "line", lineno)
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise InstanceError("vertex/edge counts must be integers", line=lineno)
+        raise InstanceError("vertex/edge counts must be integers", "line", lineno)
     if n < 0 or m < 0:
-        raise InstanceError("counts must be non-negative", line=lineno)
+        raise InstanceError("counts must be non-negative", "line", lineno)
 
     if len(lines) == 2 and n == 0:
         lines.append((lineno, ""))  # a 0-vertex instance's patience line is blank
@@ -177,53 +177,40 @@ def parse_instance(text):
     lineno, pat_line = lines[2]
     parts = pat_line.split()
     if len(parts) != n:
-        raise InstanceError(f"expected {n} patience values, got {len(parts)}", line=lineno)
-    patience = []
-    for tok in parts:
-        try:
-            t = int(tok)
-        except ValueError:
-            raise InstanceError(f"patience '{tok}' is not an integer", line=lineno)
-        if t < 1:
-            raise InstanceError(f"patience must be >= 1, got {t}", line=lineno)
-        patience.append(t)
+        raise InstanceError(f"expected {n} patience values, got {len(parts)}", "line", lineno)
+    try:
+        patience = [int(tok) for tok in parts]
+    except ValueError:
+        raise InstanceError("patience values must be integers", "line", lineno)
 
     if len(lines) != 3 + m:
         raise InstanceError(f"expected {m} edge lines, got {len(lines) - 3}")
     edges = []
-    seen = set()
     for lineno, edge_line in lines[3:]:
         parts = edge_line.split()
         if len(parts) != 3:
-            raise InstanceError("expected '<u> <v> <p>'", line=lineno)
+            raise InstanceError("expected '<u> <v> <p>'", "line", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
         except ValueError:
-            raise InstanceError("endpoints must be integers", line=lineno)
-        try:
-            p = float(parts[2])
-        except ValueError:
-            raise InstanceError(f"probability '{parts[2]}' is not a number", line=lineno)
-        if u == v:
-            raise InstanceError(f"self-loop {u} {v}", line=lineno)
-        if not (0 <= u < v < n):
-            raise InstanceError(f"endpoints must satisfy 0 <= u < v < {n}", line=lineno)
-        if not (sys.float_info.min <= p <= 1.0):
-            raise InstanceError(f"probability {p} outside (0, 1] or subnormal", line=lineno)
-        if (u, v) in seen:
-            raise InstanceError(f"duplicate edge {u} {v}", line=lineno)
-        seen.add((u, v))
-        edges.append((u, v, p))
+            raise InstanceError("endpoints must be integers and p a number", "line", lineno)
 
-    return Instance(n=n, edges=tuple(edges), patience=tuple(patience))
+    try:  # Instance judges the values, and its error moves to the line at fault
+        return Instance(n=n, edges=tuple(edges), patience=tuple(patience))
+    except InstanceError as err:  # lines[2] holds the patience, lines[3 + i] edge i
+        lineno = lines[3 + err.index if err.kind == "edge" else 2][0]
+        raise InstanceError(err.reason, "line", lineno) from None
 
 
 def format_instance(inst):
-    """Serialize an Instance back into the text file format."""
+    """Serialize an Instance into the file format, which parses back to an
+    equal one; a p with no exact float form raises InstanceError."""
     out = ["stochmatch 1", f"{inst.n} {inst.m}"]
     out.append(" ".join(str(t) for t in inst.patience))
-    for u, v, p in inst.edges:
-        out.append(f"{u} {v} {p!r}")
+    for i, (u, v, p) in enumerate(inst.edges):
+        if float(p) != p:
+            raise InstanceError(f"probability {p!r} has no exact float form", "edge", i)
+        out.append(f"{u} {v} {float(p)!r}")
     return "\n".join(out) + "\n"
 
 
@@ -263,6 +250,12 @@ def initial_state(inst):
     """Key with all edges alive and full patience."""
     _, unit, _ = inst._layout
     return (1 << inst.m) - 1 | sum(t * b for t, b in zip(inst.patience, unit))
+
+
+def check_stop(inst, key):
+    """Raise ValueError unless a policy may stop at key: no edge is alive."""
+    if key & ((1 << inst.m) - 1):
+        raise ValueError("policy stopped while edges were probeable")
 
 
 def probeable_edges(inst, key):

@@ -25,12 +25,16 @@ class GeneratorSpec:
     def __init__(self, family="gnp", n=5, density=0.5, p_grid=True, t_max=3, seed=0):
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        if n < 2:
-            raise ValueError("need at least 2 vertices")
-        if not 0.0 < density <= 1.0:
-            raise ValueError("density must be in (0, 1]")
-        if t_max < 1:
-            raise ValueError("t_max must be >= 1")
+        if type(n) is not int or n < 2:
+            raise ValueError(f"n must be an int >= 2, got {n!r}")
+        try:
+            in_range = 0.0 < density <= 1.0
+        except TypeError:
+            in_range = False
+        if not in_range:
+            raise ValueError(f"density must be a real in (0, 1], got {density!r}")
+        if type(t_max) is not int or t_max < 1:
+            raise ValueError(f"t_max must be an int >= 1, got {t_max!r}")
         if family == "gnp" and density < 1.0:
             pairs = n * (n - 1) // 2
             nonempty = -math.expm1(pairs * math.log1p(-density))

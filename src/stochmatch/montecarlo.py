@@ -17,7 +17,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .core import apply_failure, apply_success, initial_state, kernel, state_budget
+from .core import apply_failure, apply_success, check_stop, initial_state, kernel, state_budget
 
 _MASK64 = (1 << 64) - 1
 _STOP = (None, 0.0, 0, 0, 0)
@@ -91,8 +91,7 @@ def _step(inst, rows, pol, key):
     """(edge, p, endpoint bitmask, success key, failure key) at key."""
     e = pol(key)
     if e is None:
-        if key & ((1 << inst.m) - 1):
-            raise ValueError("policy stopped while edges were probeable")
+        check_stop(inst, key)
         return _STOP
     u, v, p = inst.edges[e]
     return e, p, 1 << u | 1 << v, apply_success(rows, key, e), apply_failure(rows, key, e)

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import SizeCapError, apply_failure, apply_success, initial_state, kernel, state_budget
+from .core import (
+    SizeCapError, apply_failure, apply_success, check_stop, initial_state, kernel, state_budget,
+)
 
 
 class TreeNode(NamedTuple):
@@ -81,8 +83,7 @@ def _build(inst, rows, pol, key, nodes, limit):
         return node
     e = pol(key)
     if e is None:
-        if key & ((1 << inst.m) - 1):
-            raise ValueError("policy stopped while edges were probeable")
+        check_stop(inst, key)
         node = TreeNode(key)
     else:
         u, v, p = inst.edges[e]

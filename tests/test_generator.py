@@ -78,6 +78,14 @@ def test_invalid_specs_rejected():
     for density in (0.0, -0.5, 1.5, float("nan")):
         with pytest.raises(ValueError):
             GeneratorSpec(density=density)
+    # Accepted, a non-int n or t_max failed only when an instance was drawn,
+    # and a string density raised a bare TypeError.
+    for field, value in (("n", 2.5), ("n", True), ("t_max", 1.5), ("t_max", True)):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            GeneratorSpec(**{field: value})
+    for density in ("x", None, 1j):
+        with pytest.raises(ValueError, match="density"):
+            GeneratorSpec(density=density)
     assert GeneratorSpec(density=1.0).density == 1.0
 
 
