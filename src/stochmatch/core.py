@@ -40,8 +40,9 @@ class Instance:
     construction order and identified by index for the instance's whole
     lifetime; patience holds n numbers, each >= 1.  edges, each edge and
     patience must be tuples, so an instance hashes; n, the endpoints and the
-    patience numbers must be ints and p any real in range, none a bool.  The
-    one check of values: InstanceError names the edge or vertex at fault.
+    patience numbers must be ints and p any real in range that mixes with
+    floats (a Fraction does, a Decimal does not), none a bool.  The one check
+    of values: InstanceError names the edge or vertex at fault.
     An instance is immutable, and == and hash go by (n, edges, patience).
     """
 
@@ -64,16 +65,20 @@ class Instance:
                 if u == v:
                     raise InstanceError(f"self-loop {u} {v}", "edge", i)
                 raise InstanceError(f"endpoints {u} {v} must satisfy 0 <= u < v < {n}", "edge", i)
-            try:
-                in_range = low <= p <= 1.0 and p is not True
+            try:  # the evaluators compute 1.0 - p, which a Decimal p refuses
+                in_range = low <= p <= 1.0 and p is not True and 1.0 - p >= 0.0
             except TypeError:
                 in_range = False
             if not in_range:
-                reason = f"probability must be in (0, 1], neither subnormal nor a bool, got {p!r}"
+                reason = (
+                    "probability must be a real in (0, 1] that mixes with floats, "
+                    f"neither subnormal nor a bool, got {p!r}"
+                )
                 raise InstanceError(reason, "edge", i)
-            if (u, v) in seen:
+            pair = u * n + v  # one int per endpoint pair, as 0 <= u < v < n
+            if pair in seen:
                 raise InstanceError(f"duplicate edge {u} {v}", "edge", i)
-            seen.add((u, v))
+            seen.add(pair)
         for v, t in enumerate(patience):
             if type(t) is not int or t < 1:
                 raise InstanceError(f"patience must be an int >= 1, got {t!r}", "vertex", v)
@@ -265,14 +270,14 @@ def probeable_edges(inst, key):
 
 def apply_success(rows, key, e):
     """Match edge e: drop both endpoints and every edge incident to them."""
-    if not key >> e & 1:
+    if not (0 <= e < len(rows) and key >> e & 1):
         raise ValueError(f"edge {e} is not alive in this state")
     return key & rows[e][4]
 
 
 def apply_failure(rows, key, e):
     """Failed probe of e: drop e and one unit of patience at both endpoints."""
-    if not key >> e & 1:
+    if not (0 <= e < len(rows) and key >> e & 1):
         raise ValueError(f"edge {e} is not alive in this state")
     fu, fv, ou, ov, _, dec, _, _ = rows[e]
     key -= dec

@@ -85,10 +85,12 @@ def generate_instance(spec, rng):
 
 
 def iter_instances(spec, count):
-    """Deterministic stream of `count` instances for a fixed spec, made lazily."""
+    """Deterministic stream of `count` instances for a fixed spec, made lazily;
+    ValueError at the call, before any draw, unless count is an int >= 0."""
+    if type(count) is not int or count < 0:
+        raise ValueError(f"count must be an int >= 0, got {count!r}")
     rng = random.Random(spec.seed)
-    for _ in range(count):
-        yield generate_instance(spec, rng)
+    return (generate_instance(spec, rng) for _ in range(count))
 
 
 def generate_instances(spec, count):

@@ -40,11 +40,12 @@ def simulate(inst, pol, trials, seed):
     state's step (edge, p, endpoints, both children) is cached for later
     visits until the cache holds core.MAX_STATES entries.  Raises
     RuntimeError if a trajectory's matched edges are not a matching, and
-    ValueError if the policy picks an edge that is not alive or stops while
-    one is.
+    ValueError if trials is not an int >= 1 (a bool is not), or if the policy
+    picks an edge that is not alive (any index outside range(inst.m)) or
+    stops while one is.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     draw = random.Random(seed & _MASK64).random
     rows = kernel(inst)
     root = initial_state(inst)
@@ -93,5 +94,6 @@ def _step(inst, rows, pol, key):
     if e is None:
         check_stop(inst, key)
         return _STOP
+    succ, fail = apply_success(rows, key, e), apply_failure(rows, key, e)
     u, v, p = inst.edges[e]
-    return e, p, 1 << u | 1 << v, apply_success(rows, key, e), apply_failure(rows, key, e)
+    return e, p, 1 << u | 1 << v, succ, fail

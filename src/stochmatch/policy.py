@@ -86,9 +86,9 @@ def _build(inst, rows, pol, key, nodes, limit):
         check_stop(inst, key)
         node = TreeNode(key)
     else:
-        u, v, p = inst.edges[e]
         left = _build(inst, rows, pol, apply_success(rows, key, e), nodes, limit)
         right = _build(inst, rows, pol, apply_failure(rows, key, e), nodes, limit)
+        u, v, p = inst.edges[e]  # after the transitions, which judge e
         value = p * (1.0 + left.value) + (1.0 - p) * right.value
         node = TreeNode(key, e, u, v, p, left, right, value)
     if len(nodes) >= limit:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stochmatch import cli, core
+from stochmatch import cli, core, generator
 from stochmatch.cli import main
 from stochmatch.core import Instance, format_instance
 
@@ -241,10 +241,10 @@ class TestScan:
         assert not out.exists()
 
     def test_unwritable_out_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch):
-        def no_instances(spec, count):
-            raise AssertionError("instances generated before --out was opened")
+        def no_instances(spec, rng):
+            raise AssertionError("instance drawn before --out was opened")
 
-        monkeypatch.setattr(cli, "iter_instances", no_instances)
+        monkeypatch.setattr(generator, "generate_instance", no_instances)
         argv = ["scan", "--count", "1", "--out", str(tmp_path / "missing" / "x.csv")]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -324,6 +324,15 @@ class TestSimulate:
 
 
 class TestArgumentValidation:
+    """argparse judges only syntax; the library judges each value, and main
+    reports its ValueError as one line naming the field."""
+
+    @staticmethod
+    def _target(argv, write, tmp_path):
+        if argv[0] == "simulate":
+            return ["--instance", write(SINGLE)]
+        return ["--out", str(tmp_path / "scan.csv")]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -331,18 +340,32 @@ class TestArgumentValidation:
             ["scan", "--n", "1"],
             ["scan", "--tmax", "0"],
             ["scan", "--count", "-3"],
-            ["scan", "--count", "many"],
+            ["scan", "--density", "inf"],
             ["scan", "--density", "0"],
             ["scan", "--density", "1.5"],
             ["scan", "--density", "nan"],
         ],
     )
     def test_bad_value_exit_2(self, argv, write, tmp_path, capsys):
-        target = ["--instance", write(SINGLE)] if argv[0] == "simulate" else [
-            "--out", str(tmp_path / "scan.csv")
-        ]
+        field = "t_max" if argv[1] == "--tmax" else argv[1][2:]  # GeneratorSpec's name
+        assert main(argv + self._target(argv, write, tmp_path)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {field} must be ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--count", "many"],
+            ["scan", "--family", "cycle"],
+            ["simulate", "--trials", "2.5"],
+        ],
+    )
+    def test_bad_syntax_exit_2(self, argv, write, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(argv + target)
+            main(argv + self._target(argv, write, tmp_path))
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:")

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -247,12 +248,14 @@ class TestInvariants:
             (([0, 1, 0.5],), (1, 1), "tuple"),
             (((0, 1),), (1, 1), "tuple"),
             (((0, 1, 0.5, 1),), (1, 1), "tuple"),
+            (((0, 1, Decimal("0.5")),), (1, 1), "edge 0: probability"),
         ],
     )
     def test_malformed_fields_rejected(self, edges, patience, message):
         # Accepted or half-checked, these raised TypeError: a string p from
         # the range comparison, a list field from hash(inst).  An edge of two
         # or four items failed to unpack, with a message that named no edge.
+        # A Decimal p was accepted, and every evaluator's 1.0 - p then failed.
         with pytest.raises(ValueError, match=message):
             Instance(n=2, edges=edges, patience=patience)
 

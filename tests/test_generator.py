@@ -20,6 +20,16 @@ def test_stream_is_lazy_and_matches_the_list():
     assert [next(stream) for _ in range(20)] == generate_instances(spec, 20)
 
 
+def test_invalid_count_rejected_when_the_stream_is_made():
+    # A negative count gave no instances and True gave one; 2.5 failed in range().
+    spec = GeneratorSpec(seed=7)
+    for count in (-3, 2.5, True):
+        with pytest.raises(ValueError, match="count must be an int >= 0"):
+            generate_instances(spec, count)
+        with pytest.raises(ValueError, match="count must be an int >= 0"):
+            iter_instances(spec, count)  # before the first draw
+
+
 def test_path_family():
     spec = GeneratorSpec(family="path", n=5, seed=1)
     (inst,) = generate_instances(spec, 1)

@@ -54,8 +54,10 @@ class TestSimulate:
         assert a == b
 
     def test_trials_validated(self, star2):
-        with pytest.raises(ValueError):
-            simulate(star2, greedy_policy(star2), trials=0, seed=1)
+        # True ran one trial and reported trials=True; 2.5 failed in range().
+        for trials in (0, True, 2.5):
+            with pytest.raises(ValueError, match="trials must be an int >= 1"):
+                simulate(star2, greedy_policy(star2), trials=trials, seed=1)
 
     def test_non_matching_trajectory_raises(self, monkeypatch):
         # A success transition that removes only the probed edge leaves its
@@ -142,3 +144,11 @@ class TestStepCache:
         # Edge 0 is dead once it has been probed, whatever the outcome.
         with pytest.raises(ValueError, match="not alive"):
             simulate(p4, lambda key: 0, trials=10, seed=1)
+        # No index outside range(m) is alive.  m and m + 3 raised IndexError
+        # from inst.edges; -1 read the last edge, then raised "negative shift
+        # count".  The middle vertex's patience field sets bit m of the key,
+        # so the alive bit alone would pass index m.
+        path = Instance(n=3, edges=((0, 1, 0.5), (1, 2, 0.5)), patience=(1, 1, 1))
+        for e in (path.m, path.m + 3, -1):
+            with pytest.raises(ValueError, match=f"edge {e} is not alive"):
+                simulate(path, lambda key: e, trials=10, seed=1)

@@ -1,7 +1,9 @@
 """Each rule about an instance or a key is written once under src/stochmatch.
 
 core.check_stop holds the one message for a policy that stops while an edge
-is alive, and parse_instance leaves the probability range to Instance.
+is alive, and parse_instance leaves the probability range to Instance.  The
+CLI parses and the library judges: argparse converts each value with int or
+float, and the code that uses the value is the one that checks it.
 """
 
 import ast
@@ -45,3 +47,24 @@ def test_parse_instance_compares_against_no_float_bound():
         )
     ]
     assert compared == []
+
+
+def test_cli_types_are_only_int_or_float():
+    tree = _trees()["cli.py"]
+    named = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and "ArgumentTypeError" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert named == []
+    types = [
+        ast.unparse(keyword.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        for keyword in node.keywords
+        if keyword.arg == "type"
+    ]
+    assert types and set(types) <= {"int", "float"}

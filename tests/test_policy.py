@@ -158,6 +158,17 @@ class TestSharedSubtrees:
                 gc.enable()
         assert tree_value(t) > 0.0
 
+    @pytest.mark.parametrize("e", [0, 2, 5, -1])
+    def test_dead_edge_raises(self, e):
+        # Edge 0 is dead once probed; 2, 5 and -1 are m, m + 3 and -1, no edge
+        # index at all.  m and m + 3 raised IndexError from inst.edges; -1 read
+        # the last edge, then raised "negative shift count".  The middle
+        # vertex's patience field sets bit m of the key, so the alive bit
+        # alone would pass index m.
+        path = Instance(n=3, edges=((0, 1, 0.5), (1, 2, 0.5)), patience=(1, 1, 1))
+        with pytest.raises(ValueError, match=f"edge {e} is not alive"):
+            build_tree(path, lambda key: e)
+
     def test_node_budget_at_count_and_one_below(self, p4, monkeypatch):
         # _build stores at most core.MAX_STATES nodes, read when the build starts.
         tree = build_tree(p4, greedy_policy(p4))
