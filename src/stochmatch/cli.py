@@ -151,11 +151,8 @@ def build_parser():
     p_scan.add_argument("--density", type=float, default=0.5)
     p_scan.add_argument("--tmax", type=int, default=3)
     p_scan.add_argument("--seed", type=int, default=0)
-    group = p_scan.add_mutually_exclusive_group()
-    group.add_argument("--pgrid", action="store_true", default=True,
-                       help="edge probabilities from the 0.1..1.0 grid (default)")
-    group.add_argument("--puniform", action="store_true",
-                       help="edge probabilities uniform in (0, 1]")
+    p_scan.add_argument("--puniform", action="store_true",
+                        help="edge probabilities uniform in (0, 1]; default: the 0.1..1.0 grid")
     p_scan.add_argument("--out", required=True)
     add_force(p_scan)
     p_scan.set_defaults(func=cmd_scan)

@@ -40,12 +40,14 @@ def simulate(inst, pol, trials, seed):
     state's step (edge, p, endpoints, both children) is cached for later
     visits until the cache holds core.MAX_STATES entries.  Raises
     RuntimeError if a trajectory's matched edges are not a matching, and
-    ValueError if trials is not an int >= 1 (a bool is not), or if the policy
-    picks an edge that is not alive (any index outside range(inst.m)) or
-    stops while one is.
+    ValueError if trials is not an int >= 1 or seed not an int (a bool is
+    neither), or if the policy picks an edge that is not alive (any index
+    outside range(inst.m)) or stops while one is.
     """
     if type(trials) is not int or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     draw = random.Random(seed & _MASK64).random
     rows = kernel(inst)
     root = initial_state(inst)

@@ -1,17 +1,17 @@
 """Numerical verification of the greedy 2-approximation argument.
 
-Everything here works on explicit decision trees of the optimal policy for a
-concrete instance.  The checked chain bounds the optimum by two filtered
-policies (one for the instance after greedy's first probe succeeds, one for
-after it fails) plus closed-form residuals, and ends at the factor-2 bound
-against greedy.  check_chain solves the DP once and builds the optimal tree
-over that memo.  One walk of that tree gives OPT' (descend left at ab), the
-filtered values ALG_L and ALG_R, and the path-event masses; the public
-transform_optprime, value_algL and value_algR read one value each from the
-same walk.  The induction endpoints are the memo's values at greedy's root
-children, the states after greedy's first probe ab succeeds and after it
-fails.  The events module, through check_key_lemma, is the reference
-specification of those events.
+The checked chain bounds the optimum by two filtered policies (one for the
+instance after greedy's first probe ab succeeds, one for after it fails) plus
+closed-form residuals, and ends at the factor-2 bound against greedy.
+check_chain solves the DP once and walks the optimal policy's state keys
+over that memo, reading each key's edge from it, with no decision tree.
+That one walk gives OPT' (descend left at ab), the filtered values ALG_L
+and ALG_R, and the path-event masses; the public transform_optprime,
+value_algL and value_algR each solve once and read one value from the same
+walk.  Greedy's tree gives ab and greedy's value, and the induction
+endpoints are the memo's values at its root children, the states after ab
+succeeds and after it fails.  The events module, through check_key_lemma on
+an optimal tree, is the reference specification of those events.
 
 check_lemma31 (E T(v) <= E L(v) + 1) checks an optimal tree node by node,
 and check_subtree_optimality checks any tree of the instance against the
@@ -36,7 +36,7 @@ from .events import (
     event_probability,  # unused here, but perfbench/tracing.py rebinds it
 )
 from .policy import build_tree, greedy_policy, subtree_value
-from .solver import optimal_policy, optimal_value
+from .solver import optimal_policy, optimal_value  # optimal_policy: only the tracer's
 
 TOL = 1e-9
 
@@ -55,26 +55,26 @@ RELATIONS = (
 )
 
 
-def transform_optprime(t, ab):
-    """Value of the tree modified to descend left after every probe of ab.
+def transform_optprime(inst, ab):
+    """OPT's value, modified to descend left after every probe of ab.
 
-    At a node probing ab the subtree contributes p_ab plus its left subtree's
-    value with full weight; all other nodes are unchanged.
+    A state probing ab contributes p_ab plus its success child's value with
+    full weight; every other state is unchanged.
     """
-    return _walk(t, ab, None, 0, None, 0)[0]
+    return _walk(inst, optimal_value(inst)[1], ab)[0]
 
 
-def value_algL(t, ab, alpha, beta):
-    """Value of the modified tree with all probes touching alpha or beta muted.
+def value_algL(inst, ab):
+    """OPT's value with every probe touching an endpoint of ab muted.
 
-    Muted nodes contribute nothing but still branch with their original
-    probabilities; nodes probing ab descend left with weight 1.
+    Muted probes contribute nothing but still branch with their original
+    probabilities; probes of ab descend left with weight 1.
     """
-    return _walk(t, ab, alpha, 0, beta, 0)[1]
+    return _walk(inst, optimal_value(inst)[1], ab)[1]
 
 
-def value_algR(inst, t, ab):
-    """Value of the tree with probes invalid on the failure-reduced instance muted.
+def value_algR(inst, ab):
+    """OPT's value with probes invalid on the failure-reduced instance muted.
 
     A probe is invalid if it is ab itself, or ab has not been probed earlier
     on the path and this is the t_alpha-th probe touching alpha or the
@@ -83,8 +83,7 @@ def value_algR(inst, t, ab):
     valid.  Invalid probes contribute nothing but branch with their original
     probabilities.
     """
-    alpha, beta, _ = inst.edges[ab]
-    return _walk(t, ab, alpha, inst.patience[alpha], beta, inst.patience[beta])[2]
+    return _walk(inst, optimal_value(inst)[1], ab)[2]
 
 
 class KeyLemmaResult(NamedTuple):
@@ -127,27 +126,29 @@ def check_key_lemma(t, inst, gamma, ab):
     return KeyLemmaResult(lhs=lhs, rhs_lemma=c_fail_kth, rhs_corollary=c_not_take)
 
 
-def _walk(t, ab, alpha, k_alpha, beta, k_beta):
-    """OPT', ALG_L, ALG_R and the path masses of t, from one walk.
+def _walk(inst, memo, ab):
+    """OPT', ALG_L, ALG_R and the path masses, from one walk of OPT's keys.
 
-    Returns transform_optprime's, value_algL's and value_algR's values (with
-    ALG_R muting alpha's k_alpha-th and beta's k_beta-th touch), P(ab probed),
-    P(ab never probed) and, for alpha and for beta, the masses of
-    never-probed paths that take the vertex, take it at the k-th touch, fail
-    that touch and never take it.
+    memo is inst's root solve.  Returns transform_optprime's, value_algL's
+    and value_algR's values, P(ab probed), P(ab never probed) and, for each
+    of ab's endpoints alpha and beta, the masses of never-probed paths that
+    take the vertex, take it at its patience-th touch, fail that touch and
+    never take it.
 
     Going down, a path carries whether ab is still unprobed (never) and, per
     endpoint, its touch count (c), whether it took the vertex (took) and the
     k-th touch's outcome (kth, None before it).  Leaf masses are summed in
     event_probability's order, so they match the events module's.  Coming
-    up, each node combines its children's three values.
+    up, each key combines its children's three values.
     """
+    rows, edges = kernel(inst), inst.edges
+    alpha, beta, _ = edges[ab]
+    k_alpha, k_beta = inst.patience[alpha], inst.patience[beta]
     probe = [0.0, 0.0]
-    acc_a = [0.0] * 4
-    acc_b = [0.0] * 4
+    acc_a, acc_b = [0.0] * 4, [0.0] * 4
 
-    def walk(node, prob, never, ca, took_a, kth_a, cb, took_b, kth_b):
-        _, e, u, v, p, left, right, _ = node
+    def walk(key, prob, never, ca, took_a, kth_a, cb, took_b, kth_b):
+        e = memo[key][1]
         if e is None:
             probe[never] += prob
             if never:
@@ -158,6 +159,7 @@ def _walk(t, ab, alpha, k_alpha, beta, k_beta):
                 if kth_b is not None:
                     acc_b[1 if kth_b else 2] += prob
             return 0.0, 0.0, 0.0
+        u, v, p = edges[e]
         is_ab = e == ab
         never = never and not is_ab
         touch_a = u == alpha or v == alpha
@@ -166,10 +168,10 @@ def _walk(t, ab, alpha, k_alpha, beta, k_beta):
         cb += touch_b
         at_a = touch_a and ca == k_alpha
         at_b = touch_b and cb == k_beta
-        opt_l, alg_l_l, alg_r_l = walk(left, prob * p, never,
+        opt_l, alg_l_l, alg_r_l = walk(apply_success(rows, key, e), prob * p, never,
                                        ca, took_a or touch_a, True if at_a else kth_a,
                                        cb, took_b or touch_b, True if at_b else kth_b)
-        opt_r, alg_l_r, alg_r_r = walk(right, prob * (1.0 - p), never,
+        opt_r, alg_l_r, alg_r_r = walk(apply_failure(rows, key, e), prob * (1.0 - p), never,
                                        ca, took_a, False if at_a else kth_a,
                                        cb, took_b, False if at_b else kth_b)
         if is_ab:
@@ -184,7 +186,8 @@ def _walk(t, ab, alpha, k_alpha, beta, k_beta):
             alg_r = p + alg_r
         return opt, alg_l, alg_r
 
-    values = walk(t, 1.0, True, 0, False, None, 0, False, None)
+    values = walk(initial_state(inst), 1.0, True, 0, False, None, 0, False, None)
+    del walk  # walk's cell refers to walk: break that cycle, so memo is freed now
     return (*values, probe[0], probe[1], acc_a, acc_b)
 
 
@@ -245,16 +248,12 @@ def check_chain(inst, instance_id="", force=False):
     alpha, beta, p_ab = inst.edges[ab]
     r = (1.0 - p_ab) / p_ab
 
-    _, memo = optimal_value(inst, force)
-    opt_tree = build_tree(inst, optimal_policy(inst, force=force, memo=memo), force=force)
-    e_opt = subtree_value(opt_tree)
+    e_opt, memo = optimal_value(inst, force)
     e_grd = subtree_value(grd_tree)
 
-    # One walk of the optimal tree: the transformed and filtered values, and
-    # the masses that the residuals R_L and R_R and check_key_lemma define.
-    e_optprime, e_algL, e_algR, p_probe, p_never, *per_end = _walk(
-        opt_tree, ab, alpha, inst.patience[alpha], beta, inst.patience[beta]
-    )
+    # One walk of the optimal policy's keys: the transformed and filtered
+    # values, and the masses that R_L, R_R and check_key_lemma define.
+    e_optprime, e_algL, e_algR, p_probe, p_never, *per_end = _walk(inst, memo, ab)
     pnot = 1.0 - p_probe
     w = max(pnot, 0.0)  # weight of a residual's conditional term
     # P(event | ab never probed), worth 0 where the condition has no mass.

@@ -361,6 +361,7 @@ class TestArgumentValidation:
             ["scan", "--count", "many"],
             ["scan", "--family", "cycle"],
             ["simulate", "--trials", "2.5"],
+            ["scan", "--pgrid"],
         ],
     )
     def test_bad_syntax_exit_2(self, argv, write, tmp_path, capsys):

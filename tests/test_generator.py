@@ -89,8 +89,12 @@ def test_invalid_specs_rejected():
         with pytest.raises(ValueError):
             GeneratorSpec(density=density)
     # Accepted, a non-int n or t_max failed only when an instance was drawn,
-    # and a string density raised a bare TypeError.
-    for field, value in (("n", 2.5), ("n", True), ("t_max", 1.5), ("t_max", True)):
+    # a None seed drew a different stream on every call, and a string density
+    # raised a bare TypeError.
+    for field, value in (
+        ("n", 2.5), ("n", True), ("t_max", 1.5), ("t_max", True),
+        ("seed", 1.5), ("seed", None), ("seed", "7"), ("seed", True),
+    ):
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             GeneratorSpec(**{field: value})
     for density in ("x", None, 1j):

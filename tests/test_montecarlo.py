@@ -59,6 +59,13 @@ class TestSimulate:
             with pytest.raises(ValueError, match="trials must be an int >= 1"):
                 simulate(star2, greedy_policy(star2), trials=trials, seed=1)
 
+    def test_seed_validated(self, star2):
+        # A float, None or str seed failed with a bare TypeError at the mask;
+        # a bool is not an int here, as with trials.
+        for seed in (1.5, None, "7", True):
+            with pytest.raises(ValueError, match="seed must be an int"):
+                simulate(star2, greedy_policy(star2), trials=10, seed=seed)
+
     def test_non_matching_trajectory_raises(self, monkeypatch):
         # A success transition that removes only the probed edge leaves its
         # endpoints matchable, so the path's second certain edge reuses

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from conftest import (
@@ -9,7 +11,7 @@ from conftest import (
     residual_RR,
 )
 
-from stochmatch import solver
+from stochmatch import proofcheck, solver
 from stochmatch.core import Instance
 from stochmatch.events import (
     Not,
@@ -72,7 +74,7 @@ def _reduced_after_failure(inst, ab):
 class TestOptPrime:
     def test_single_edge_equals_opt(self, single_edge):
         t = opt_tree_of(single_edge)
-        value = transform_optprime(t, 0)
+        value = transform_optprime(single_edge, 0)
         assert value == pytest.approx(0.7, abs=1e-12)
 
     def test_never_probed_edge_leaves_value(self):
@@ -89,7 +91,7 @@ class TestOptPrime:
         ]
         assert unprobed  # tight patience leaves some edges untouched
         for e in unprobed:
-            value = transform_optprime(t, e)
+            value = transform_optprime(inst, e)
             assert value == pytest.approx(subtree_value(t), abs=1e-12)
 
     def test_opt_bounded_by_optprime(self):
@@ -98,46 +100,42 @@ class TestOptPrime:
             p_ab = inst.edges[ab][2]
             t = opt_tree_of(inst)
             e_opt = subtree_value(t)
-            e_optprime = transform_optprime(t, ab)
+            e_optprime = transform_optprime(inst, ab)
             p_probe = event_probability(t, ProbesEdge(ab))
             assert e_opt <= e_optprime + (1.0 - p_ab) * p_probe + 1e-9
 
 
 class TestAlgL:
     def test_only_edge_is_ab(self, single_edge):
-        t = opt_tree_of(single_edge)
-        assert value_algL(t, 0, 0, 1) == 0.0
+        assert value_algL(single_edge, 0) == 0.0
 
     def test_disjoint_second_edge_survives(self, disjoint_pair):
-        t = opt_tree_of(disjoint_pair)
         ab = greedy_first_edge(disjoint_pair)
         assert ab == 0
-        assert value_algL(t, 0, 0, 1) == pytest.approx(0.8, abs=1e-12)
+        assert value_algL(disjoint_pair, 0) == pytest.approx(0.8, abs=1e-12)
 
     def test_optl_equality(self):
         for inst in random_instances(seed=42, count=40):
             ab = greedy_first_edge(inst)
             alpha, beta, p_ab = inst.edges[ab]
             t = opt_tree_of(inst)
-            e_optprime = transform_optprime(t, ab)
-            e_algL = value_algL(t, ab, alpha, beta)
+            e_optprime = transform_optprime(inst, ab)
+            e_algL = value_algL(inst, ab)
             e_RL = residual_RL(t, ab, alpha, beta, p_ab)
             assert e_optprime == pytest.approx(e_algL + e_RL, abs=1e-9)
 
     def test_bounded_by_opt(self):
         for inst in random_instances(seed=43, count=20):
             ab = greedy_first_edge(inst)
-            alpha, beta, _ = inst.edges[ab]
             t = opt_tree_of(inst)
-            assert value_algL(t, ab, alpha, beta) <= subtree_value(t) + 1e-9
+            assert value_algL(inst, ab) <= subtree_value(t) + 1e-9
 
     def test_bounded_by_reduced_optimum(self):
         for inst in random_instances(seed=44, count=20):
             ab = greedy_first_edge(inst)
             alpha, beta, _ = inst.edges[ab]
-            t = opt_tree_of(inst)
             opt_reduced, _ = optimal_value(_reduced_after_success(inst, alpha, beta))
-            assert value_algL(t, ab, alpha, beta) <= opt_reduced + 1e-9
+            assert value_algL(inst, ab) <= opt_reduced + 1e-9
 
 
 class TestResidualRL:
@@ -160,8 +158,7 @@ class TestResidualRL:
 
 class TestAlgR:
     def test_only_edge_is_ab(self, single_edge):
-        t = opt_tree_of(single_edge)
-        assert value_algR(single_edge, t, 0) == 0.0
+        assert value_algR(single_edge, 0) == 0.0
 
     def test_no_invalid_probes_when_patience_large(self):
         # The certain spoke is probed first and removes the other spoke, so
@@ -171,7 +168,7 @@ class TestAlgR:
         inst = Instance(n=3, edges=((0, 1, 1.0), (0, 2, 0.1)), patience=(5, 5, 5))
         t = opt_tree_of(inst)
         assert event_probability(t, ProbesEdge(1)) == 0.0
-        assert value_algR(inst, t, 1) == pytest.approx(subtree_value(t), abs=1e-12)
+        assert value_algR(inst, 1) == pytest.approx(subtree_value(t), abs=1e-12)
 
     def test_optr_equality(self):
         for inst in random_instances(seed=46, count=40):
@@ -179,7 +176,7 @@ class TestAlgR:
             alpha, beta, p_ab = inst.edges[ab]
             t = opt_tree_of(inst)
             e_opt = subtree_value(t)
-            e_algR = value_algR(inst, t, ab)
+            e_algR = value_algR(inst, ab)
             e_RR = residual_RR(
                 t, ab, alpha, beta, inst.patience[alpha], inst.patience[beta], p_ab
             )
@@ -189,7 +186,7 @@ class TestAlgR:
         for inst in random_instances(seed=47, count=20):
             ab = greedy_first_edge(inst)
             t = opt_tree_of(inst)
-            assert value_algR(inst, t, ab) <= subtree_value(t) + 1e-9
+            assert value_algR(inst, ab) <= subtree_value(t) + 1e-9
 
 
 class TestResidualRR:
@@ -275,6 +272,39 @@ class TestChain:
             check_chain(inst)
             assert len(entered) == count
 
+    def test_builds_only_greedys_tree(self, monkeypatch):
+        # OPT's edges and values are read from the root solve's memo: the
+        # one tree built is greedy's, and no optimal policy is made.
+        built = []
+        build = proofcheck.build_tree
+
+        def counted(inst, pol, force=False):
+            built.append(pol)
+            return build(inst, pol, force)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("check_chain made an optimal policy")
+
+        monkeypatch.setattr(proofcheck, "build_tree", counted)
+        monkeypatch.setattr(proofcheck, "optimal_policy", refused)
+        for inst in random_instances(seed=52, count=10):
+            built.clear()
+            report = check_chain(inst)
+            assert len(built) == 1
+            assert report.passed
+
+    def test_leaves_no_cyclic_garbage(self, p4):
+        # A cycle left by a check would hold its memo until a collection ran.
+        instances = random_instances(seed=53, count=10) + [p4, TINY_NEVER]
+        gc.disable()
+        try:
+            gc.collect()
+            for inst in instances:
+                check_chain(inst)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_csv_row_shape(self, p4):
         report = check_chain(p4, "p4")
         header = report.csv_header()
@@ -323,9 +353,9 @@ class TestChainMatchesReference:
             assert report.e_optprime == e_optprime
             assert report.e_algL == e_algL
             assert report.e_algR == e_algR
-            assert transform_optprime(t, ab) == e_optprime
-            assert value_algL(t, ab, alpha, beta) == e_algL
-            assert value_algR(inst, t, ab) == e_algR
+            assert transform_optprime(inst, ab) == e_optprime
+            assert value_algL(inst, ab) == e_algL
+            assert value_algR(inst, ab) == e_algR
             assert report.p_probe_ab == event_probability(t, ProbesEdge(ab))
             assert report.e_RL == residual_RL(t, ab, alpha, beta, p_ab)
             assert report.e_RR == residual_RR(t, ab, alpha, beta, t_alpha, t_beta, p_ab)
@@ -339,6 +369,6 @@ class TestChainMatchesReference:
             opt_left, _ = optimal_value(_reduced_after_success(inst, alpha, beta))
             opt_right, _ = optimal_value(_reduced_after_failure(inst, ab))
             assert report.slacks["induction"] == min(
-                opt_left - value_algL(t, ab, alpha, beta),
-                opt_right - value_algR(inst, t, ab),
+                opt_left - value_algL(inst, ab),
+                opt_right - value_algR(inst, ab),
             )
