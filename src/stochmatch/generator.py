@@ -35,6 +35,8 @@ class GeneratorSpec:
             raise ValueError(f"density must be a real in (0, 1], got {density!r}")
         if type(t_max) is not int or t_max < 1:
             raise ValueError(f"t_max must be an int >= 1, got {t_max!r}")
+        if type(p_grid) is not bool:
+            raise ValueError(f"p_grid must be a bool, got {p_grid!r}")
         if type(seed) is not int:
             raise ValueError(f"seed must be an int, got {seed!r}")
         if family == "gnp" and density < 1.0:

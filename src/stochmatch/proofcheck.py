@@ -15,9 +15,10 @@ an optimal tree, is the reference specification of those events.
 
 check_lemma31 (E T(v) <= E L(v) + 1) checks an optimal tree node by node,
 and check_subtree_optimality checks any tree of the instance against the
-root solve's memo.  TOL is the one float tolerance: for the chain's
-verdicts, for both node checks and for the ratio command's exit status.  A
-conditional on "ab never probed" is undefined iff that event's mass is
+root solve's memo.  holds is the one judge, the only code that compares a
+slack with TOL, the one float tolerance: for the chain's relations, both
+node checks and the ratio command's exit status, the chain's final relation.
+A conditional on "ab never probed" is undefined iff that event's mass is
 exactly 0, and then counts as 0.
 """
 
@@ -40,8 +41,7 @@ from .solver import optimal_policy, optimal_value  # optimal_policy: only the tr
 
 TOL = 1e-9
 
-# Relation keys in chain order (i)..(ix); "eq" must hold to +-TOL,
-# "le" means slack = rhs - lhs must be >= -TOL.
+# Relation keys in chain order (i)..(ix), each with its kind for holds.
 RELATIONS = (
     ("optp", "le"),
     ("optl", "eq"),
@@ -53,6 +53,21 @@ RELATIONS = (
     ("induction", "le"),
     ("final", "le"),
 )
+
+
+def holds(slack, kind="le"):
+    """The one verdict: "le" (slack = rhs - lhs) iff slack >= -TOL, "eq" iff |slack| <= TOL."""
+    return abs(slack) <= TOL if kind == "eq" else slack >= -TOL
+
+
+def factor2_slack(e_opt, e_grd):
+    """Slack of the final relation E[OPT] <= 2 E[GRD]."""
+    return 2.0 * e_grd - e_opt
+
+
+def opt_grd_ratio(e_opt, e_grd):
+    """E[OPT] / E[GRD], and 1.0 when greedy's value is 0."""
+    return e_opt / e_grd if e_grd > 0 else 1.0
 
 
 def transform_optprime(inst, ab):
@@ -101,7 +116,7 @@ class KeyLemmaResult(NamedTuple):
 
     @property
     def ok(self):
-        return self.lemma_slack >= -TOL and self.corollary_slack >= -TOL
+        return holds(self.lemma_slack) and holds(self.corollary_slack)
 
 
 def check_key_lemma(t, inst, gamma, ab):
@@ -116,12 +131,9 @@ def check_key_lemma(t, inst, gamma, ab):
         raise ValueError("p_ab must be the maximum edge probability")
     t_gamma = inst.patience[gamma]
     not_probe = Not(ProbesEdge(ab))
-    c_take_kth = conditional_probability(t, TakesVertexAtKth(gamma, t_gamma), not_probe)
-    c_fail_kth = conditional_probability(t, FailsKthOfVertex(gamma, t_gamma), not_probe)
-    c_not_take = conditional_probability(t, Not(TakesVertex(gamma)), not_probe)
-    c_take_kth = 0.0 if c_take_kth is None else c_take_kth
-    c_fail_kth = 0.0 if c_fail_kth is None else c_fail_kth
-    c_not_take = 0.0 if c_not_take is None else c_not_take
+    c_take_kth = conditional_probability(t, TakesVertexAtKth(gamma, t_gamma), not_probe) or 0.0
+    c_fail_kth = conditional_probability(t, FailsKthOfVertex(gamma, t_gamma), not_probe) or 0.0
+    c_not_take = conditional_probability(t, Not(TakesVertex(gamma)), not_probe) or 0.0
     lhs = (1.0 - p_ab) / p_ab * c_take_kth
     return KeyLemmaResult(lhs=lhs, rhs_lemma=c_fail_kth, rhs_corollary=c_not_take)
 
@@ -218,7 +230,7 @@ class ChainReport(NamedTuple):
 
     @property
     def ratio(self):
-        return self.e_opt / self.e_grd if self.e_grd > 0 else 1.0
+        return opt_grd_ratio(self.e_opt, self.e_grd)
 
     @property
     def passed(self):
@@ -287,12 +299,9 @@ def check_chain(inst, instance_id="", force=False):
         "keylem": min(min(kl.lemma_slack, kl.corollary_slack) for kl in (kl_a, kl_b)),
         "combined": (p_ab * e_algL + (1.0 - p_ab) * e_algR + 2.0 * p_ab) - e_opt,
         "induction": min(opt_left - e_algL, opt_right - e_algR),
-        "final": 2.0 * e_grd - e_opt,
+        "final": factor2_slack(e_opt, e_grd),
     }
-    verdicts = {
-        name: abs(slacks[name]) <= TOL if kind == "eq" else slacks[name] >= -TOL
-        for name, kind in RELATIONS
-    }
+    verdicts = {name: holds(slacks[name], kind) for name, kind in RELATIONS}
 
     return ChainReport(
         instance_id=instance_id, ab=ab, alpha=alpha, beta=beta, p_ab=p_ab, e_opt=e_opt,
@@ -338,7 +347,7 @@ def check_lemma31(t):
         if node.is_leaf:
             continue
         margins.append(node.value - node.left.value)
-        if margins[-1] > 1.0 + TOL:
+        if not holds(1.0 - margins[-1]):
             violations.append((path, margins[-1]))
     return LemmaReport(max(margins, default=float("-inf")), len(margins), violations)
 
@@ -380,6 +389,6 @@ def check_subtree_optimality(inst, t, force=False):
             raise ValueError(f"node at path {path!r} is not a node of a tree of this instance")
         opt = memo[node.state][0]
         gaps.append(abs(opt - node.value))
-        if gaps[-1] > TOL:
+        if not holds(gaps[-1], "eq"):
             violations.append((path, node.value, opt))
     return OptimalityReport(max(gaps, default=0.0), len(gaps), violations)

@@ -1,17 +1,21 @@
+import argparse
+import csv
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import threading
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stochmatch import cli, core, generator
+from stochmatch import cli, core, generator, proofcheck
 from stochmatch.cli import main
 from stochmatch.core import Instance, format_instance
 
@@ -114,6 +118,13 @@ class TestInstanceFile:
         assert err.startswith(f"error: {path}: ")
         assert "0xff" in err
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # A UTF-8 file that starts with a byte-order mark read as a bad header.
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + SINGLE.encode())
+        assert main(["eval", "--instance", str(path)]) == 0
+        assert capsys.readouterr().out == "0.700000000000\n"
+
 
 class TestRatio:
     def test_single_edge(self, write, capsys):
@@ -134,6 +145,29 @@ class TestRatio:
         assert main(["ratio", "--instance", write(EMPTY)]) == 0
         out = capsys.readouterr().out
         assert out == "opt 0.000000000000\ngrd 0.000000000000\nratio 1.000000000000\n"
+
+    @pytest.mark.parametrize(
+        "e_opt, e_grd, final",
+        [(20.000000005, 10.0, "FAIL"), (1.0000000008, 0.5, "PASS")],
+        ids=["ratio-in-tol-final-fails", "ratio-past-tol-final-passes"],
+    )
+    def test_exit_status_is_checks_final_verdict(
+        self, e_opt, e_grd, final, write, capsys, monkeypatch
+    ):
+        # The two values are planted in both commands; the memo stays the real one.
+        real_solve = proofcheck.optimal_value
+
+        def planted_solve(inst, force=False):
+            return e_opt, real_solve(inst, force)[1]
+
+        for module in (cli, proofcheck):
+            monkeypatch.setattr(module, "optimal_value", planted_solve)
+        monkeypatch.setattr(cli, "tree_value", lambda t: e_grd)
+        monkeypatch.setattr(proofcheck, "subtree_value", lambda t: e_grd)
+        path = write(SINGLE)
+        main(["check", "--instance", path])
+        assert f"final {final}" in capsys.readouterr().out.splitlines()
+        assert main(["ratio", "--instance", path]) == (0 if final == "PASS" else 1)
 
     def test_patience_beyond_a_byte(self, write, capsys):
         # The 301-leaf star's center, patience 300, has a 9-bit field.  Greedy's
@@ -158,6 +192,14 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_csv_quotes_the_instance_path(self, write, capsys):
+        # A comma in the path split the id: a 14-field header over a 15-field row.
+        path = write(P4, name='a,b"c.txt')
+        assert main(["check", "--instance", path]) == 0
+        header, row = list(csv.reader(io.StringIO(capsys.readouterr().out)))[:2]
+        assert len(header) == len(row) == 14
+        assert row[0] == path
 
 
 class TestTooLarge:
@@ -372,6 +414,31 @@ class TestArgumentValidation:
         assert err.startswith("usage:")
         assert argv[1] in err
         assert not (tmp_path / "scan.csv").exists()
+
+
+class TestSynopsis:
+    """README's command synopsis lists exactly the options each command takes."""
+
+    def test_synopsis_matches_parser(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        (block,) = [
+            b for b in re.findall(r"```\n(.*?)```", readme, re.S) if "stochmatch eval" in b
+        ]
+        listed = {}
+        for line in block.replace("\\\n", " ").splitlines():
+            command = line.split()[1]
+            assert command not in listed
+            listed[command] = set(re.findall(r"--[a-z]+", line))
+        (commands,) = [
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        defined = {
+            name: {opt for action in sub._actions for opt in action.option_strings}
+            - {"-h", "--help"}
+            for name, sub in commands.choices.items()
+        }
+        assert listed == defined
 
 
 @st.composite

@@ -100,6 +100,10 @@ def test_invalid_specs_rejected():
     for density in ("x", None, 1j):
         with pytest.raises(ValueError, match="density"):
             GeneratorSpec(density=density)
+    # Accepted, None and 0 drew uniform p while "no" and 2 drew the grid.
+    for p_grid in (None, 0, "no", 2):
+        with pytest.raises(ValueError, match="p_grid must be a bool"):
+            GeneratorSpec(p_grid=p_grid)
     assert GeneratorSpec(density=1.0).density == 1.0
 
 
