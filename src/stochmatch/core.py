@@ -4,9 +4,10 @@ An instance is an undirected graph with a success probability on every edge
 and a patience number on every vertex.  A state is one int, its canonical
 packed key: which edges are still alive and how much patience is left at
 each vertex whose patience is below its degree, the only vertices whose
-patience can run out.  The layout is fixed per instance, and this module
-alone knows it; transitions map a key to a child key.  Every key comes from
-initial_state and the transitions, so no key is checked against the layout.
+patience can run out.  The layout is fixed per instance and known to this
+module alone, which computes its transition rows (an immutable tuple) and
+initial key once per instance, shared by every evaluator.  Every key comes
+from initial_state and the transitions, so none is checked against the layout.
 """
 
 from __future__ import annotations
@@ -112,27 +113,39 @@ class Instance:
         return len(self.edges)
 
     @cached_property
-    def _layout(self):
-        """(incident edges, field unit, field mask) of the packed key.
-
-        Worked out once per instance, in one pass over the edges: a vertex
+    def _table(self):
+        """(kernel rows, initial key), worked out once per instance.  A vertex
         whose patience is below its degree gets a field patience.bit_length()
-        bits wide, placed above the m alive bits and the fields of lower
-        vertices; any other vertex gets unit 0 and mask 0.  See kernel.
+        bits wide, above the m alive bits and the fields of lower vertices.
+        See kernel.
         """
         inc = [0] * self.n
         for e, (u, v, _) in enumerate(self.edges):
             inc[u] |= 1 << e
             inc[v] |= 1 << e
-        unit = [0] * self.n
         field = [0] * self.n
         top = self.m
+        root = (1 << top) - 1
         for v, t in enumerate(self.patience):
             if t < inc[v].bit_count():
-                unit[v] = 1 << top
                 field[v] = ((1 << t.bit_length()) - 1) << top
+                root |= t << top
                 top += t.bit_length()
-        return tuple(inc), tuple(unit), tuple(field)
+        rows = tuple(
+            (
+                field[u],
+                field[v],
+                inc[u] & ~(1 << e) if field[u] else 0,
+                inc[v] & ~(1 << e) if field[v] else 0,
+                ~(inc[u] | inc[v] | field[u] | field[v]),
+                # e's bit, and one unit of each endpoint's field: its low bit
+                (1 << e) + (field[u] & -field[u]) + (field[v] & -field[v]),
+                p,
+                1.0 - p,
+            )
+            for e, (u, v, p) in enumerate(self.edges)
+        )
+        return rows, root
 
 
 def state_budget(force=False):
@@ -143,7 +156,7 @@ def state_budget(force=False):
 def parse_instance(text):
     """Parse the instance file format into an Instance.
 
-    Format (UTF-8, '#' comments, blank lines ignored):
+    Format (UTF-8, '#' comments, blank lines ignored; ASCII without '_' outside comments):
         stochmatch 1
         <n> <m>
         <t_0> ... <t_{n-1}>
@@ -151,9 +164,11 @@ def parse_instance(text):
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
+        content = raw.split("#", 1)[0]  # every reader of a line splits it on whitespace
+        if not content.isascii() or "_" in content:
+            raise InstanceError("non-ASCII or '_' outside a comment", "line", lineno)
+        if content.strip():
+            lines.append((lineno, content))
 
     if not lines:
         raise InstanceError("empty input")
@@ -234,27 +249,15 @@ def kernel(inst):
     failure decrement, p, 1 - p), where a vertex with no field has field 0 and
     other edges 0.  A success child is key & keep; a failure child is
     key - dec, less the other edges of an endpoint whose field reaches 0.
+    The rows are an immutable tuple, computed once per instance and shared by
+    every evaluator: each call returns the same object.
     """
-    inc, unit, field = inst._layout
-    return [
-        (
-            field[u],
-            field[v],
-            inc[u] & ~(1 << e) if field[u] else 0,
-            inc[v] & ~(1 << e) if field[v] else 0,
-            ~(inc[u] | inc[v] | field[u] | field[v]),
-            (1 << e) + unit[u] + unit[v],
-            p,
-            1.0 - p,
-        )
-        for e, (u, v, p) in enumerate(inst.edges)
-    ]
+    return inst._table[0]
 
 
 def initial_state(inst):
     """Key with all edges alive and full patience."""
-    _, unit, _ = inst._layout
-    return (1 << inst.m) - 1 | sum(t * b for t, b in zip(inst.patience, unit))
+    return inst._table[1]
 
 
 def check_stop(inst, key):

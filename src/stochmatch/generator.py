@@ -28,11 +28,11 @@ class GeneratorSpec:
         if type(n) is not int or n < 2:
             raise ValueError(f"n must be an int >= 2, got {n!r}")
         try:
-            in_range = 0.0 < density <= 1.0
+            in_range = 0.0 < density <= 1.0 and density is not True
         except TypeError:
             in_range = False
         if not in_range:
-            raise ValueError(f"density must be a real in (0, 1], got {density!r}")
+            raise ValueError(f"density must be a real in (0, 1], not a bool, got {density!r}")
         if type(t_max) is not int or t_max < 1:
             raise ValueError(f"t_max must be an int >= 1, got {t_max!r}")
         if type(p_grid) is not bool:

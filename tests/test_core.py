@@ -62,6 +62,8 @@ class TestParse:
     def test_comments_and_blank_lines(self):
         text = "# header\nstochmatch 1\n\n2 1  # counts\n1 1\n0 1 0.5\n"
         assert parse_instance(text).m == 1
+        text = "# header_1 \u00e9\nstochmatch 1\n2 1  # counts \uff11_0\n1 1\n0 1 0.5\n"
+        assert parse_instance(text).m == 1  # comments are free text
 
     def test_edge_order_is_file_order(self):
         text = "stochmatch 1\n4 3\n1 1 1 1\n2 3 0.2\n0 1 0.9\n0 2 0.5\n"
@@ -111,6 +113,17 @@ class TestParse:
     def test_error_reports_line(self):
         with pytest.raises(InstanceError, match="line 4"):
             parse_instance("stochmatch 1\n2 1\n1 1\n0 1 bogus\n")
+        # Accepted: int and float read "1_0" as 10 and a full-width digit as
+        # 1, and str.split() drops a no-break space.
+        for text, lineno in (
+            ("stochmatch 1\n2 1\n1_0 \uff11\n0 1 0.5\n", 3),
+            ("stochmatch 1\n2 1\n1 1\n0 1 0.2_5\n", 4),
+            ("stochmatch 1\n2 1\n1 1\n0 \uff11 0.5\n", 4),
+            ("stochmatch 1\n2_0 1\n1 1\n0 1 0.5\n", 2),
+            ("stochmatch 1\n2 1\n1 1\u00a0\n0 1 0.5\n", 3),
+        ):
+            with pytest.raises(InstanceError, match=f"line {lineno}: non-ASCII or '_'"):
+                parse_instance(text)
 
     def test_roundtrip(self):
         inst = parse_instance("stochmatch 1\n3 2\n2 1 3\n0 1 0.25\n1 2 1\n")
@@ -174,6 +187,11 @@ class TestTransitions:
             apply_success(rows, key, 0)
         with pytest.raises(ValueError):
             apply_failure(rows, key, 0)
+
+    def test_kernel_is_one_shared_tuple(self, p4):
+        rows = kernel(p4)
+        assert type(rows) is tuple and len(rows) == p4.m
+        assert kernel(p4) is rows
 
     def test_probeable_initially_all(self, p4):
         assert probeable_edges(p4, initial_state(p4)) == [0, 1, 2]
@@ -280,10 +298,11 @@ class TestInvariants:
         assert repr(inst) == f"Instance(n={p4.n}, edges={p4.edges!r}, patience={p4.patience!r})"
 
     def test_copies_rebuild_through_the_constructor(self, p4):
-        initial_state(p4)  # fills the cached layout, which a copy recomputes
+        initial_state(p4)  # fills the cached table, which a copy recomputes
+        assert "_table" in vars(p4)
         for twin in (pickle.loads(pickle.dumps(p4)), copy.copy(p4), copy.deepcopy(p4)):
             assert twin == p4
-            assert "_layout" not in vars(twin)
+            assert "_table" not in vars(twin)
             assert initial_state(twin) == initial_state(p4)
 
 

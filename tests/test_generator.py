@@ -89,15 +89,15 @@ def test_invalid_specs_rejected():
         with pytest.raises(ValueError):
             GeneratorSpec(density=density)
     # Accepted, a non-int n or t_max failed only when an instance was drawn,
-    # a None seed drew a different stream on every call, and a string density
-    # raised a bare TypeError.
+    # a None seed drew a different stream on every call, a string density
+    # raised a bare TypeError, and density True drew as if it were 1.
     for field, value in (
         ("n", 2.5), ("n", True), ("t_max", 1.5), ("t_max", True),
         ("seed", 1.5), ("seed", None), ("seed", "7"), ("seed", True),
     ):
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             GeneratorSpec(**{field: value})
-    for density in ("x", None, 1j):
+    for density in ("x", None, 1j, True):
         with pytest.raises(ValueError, match="density"):
             GeneratorSpec(density=density)
     # Accepted, None and 0 drew uniform p while "no" and 2 drew the grid.

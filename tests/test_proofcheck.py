@@ -293,6 +293,23 @@ class TestChain:
             assert len(built) == 1
             assert report.passed
 
+    def test_computes_the_table_once(self, p4, monkeypatch):
+        # Greedy's tree, the solve and the walk share the instance's one table.
+        table = Instance.__dict__["_table"]
+        compute = table.func
+        computed = []
+
+        def counted(inst):
+            computed.append(inst)
+            return compute(inst)
+
+        monkeypatch.setattr(table, "func", counted)
+        for inst in random_instances(seed=54, count=5) + [p4]:
+            fresh = Instance(inst.n, inst.edges, inst.patience)
+            computed.clear()
+            check_chain(fresh)
+            assert len(computed) == 1 and computed[0] is fresh
+
     def test_leaves_no_cyclic_garbage(self, p4):
         # A cycle left by a check would hold its memo until a collection ran.
         instances = random_instances(seed=53, count=10) + [p4, TINY_NEVER]
