@@ -31,7 +31,7 @@ def _fmt(value):
 
 def _load_instance(path):
     try:
-        with open(path, encoding="utf-8-sig") as f:
+        with open(path, encoding="utf-8-sig", newline="") as f:  # parse_instance alone splits lines
             return parse_instance(f.read())
     except (UnicodeDecodeError, InstanceError) as exc:
         raise InstanceError(f"{path}: {exc}") from exc

@@ -156,17 +156,24 @@ def state_budget(force=False):
 def parse_instance(text):
     """Parse the instance file format into an Instance.
 
-    Format (UTF-8, '#' comments, blank lines ignored; ASCII without '_' outside comments):
+    Format (UTF-8, '#' comments, blank lines ignored):
         stochmatch 1
         <n> <m>
         <t_0> ... <t_{n-1}>
         <u> <v> <p>        (m lines)
+
+    Lines end at '\n' only, less one trailing '\r', so CRLF text parses.
+    Outside comments a line holds printable ASCII, spaces and tabs only: no
+    '_' and no other control character.  Comments are free text.
     """
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0]  # every reader of a line splits it on whitespace
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        # every reader of a line splits it on whitespace
+        content = raw.removesuffix("\r").split("#", 1)[0]
         if not content.isascii() or "_" in content:
             raise InstanceError("non-ASCII or '_' outside a comment", "line", lineno)
+        if not content.replace("\t", " ").isprintable():  # on ASCII, false at 0x00-0x1f, 0x7f
+            raise InstanceError("control character outside a comment", "line", lineno)
         if content.strip():
             lines.append((lineno, content))
 
@@ -272,15 +279,18 @@ def probeable_edges(inst, key):
 
 
 def apply_success(rows, key, e):
-    """Match edge e: drop both endpoints and every edge incident to them."""
-    if not (0 <= e < len(rows) and key >> e & 1):
+    """Match edge e: drop both endpoints and every edge incident to them.
+    The one judge of a policy's edge: e must be an int (not a bool) whose
+    edge is alive in key, or ValueError."""
+    if not (type(e) is int and 0 <= e < len(rows) and key >> e & 1):
         raise ValueError(f"edge {e} is not alive in this state")
     return key & rows[e][4]
 
 
 def apply_failure(rows, key, e):
-    """Failed probe of e: drop e and one unit of patience at both endpoints."""
-    if not (0 <= e < len(rows) and key >> e & 1):
+    """Failed probe of e: drop e and one unit of patience at both endpoints.
+    e is judged as in apply_success."""
+    if not (type(e) is int and 0 <= e < len(rows) and key >> e & 1):
         raise ValueError(f"edge {e} is not alive in this state")
     fu, fv, ou, ov, _, dec, _, _ = rows[e]
     key -= dec

@@ -125,6 +125,16 @@ class TestInstanceFile:
         assert main(["eval", "--instance", str(path)]) == 0
         assert capsys.readouterr().out == "0.700000000000\n"
 
+    def test_lines_end_at_newline_only(self, tmp_path, capsys):
+        # Text-mode reading also broke lines at a lone '\r', so a comment
+        # holding one turned its tail into a content line and exited 2.
+        crlf = SINGLE.replace("\n", "\r\n")
+        for name, text in (("crlf.txt", crlf), ("cr.txt", SINGLE + "# a\rb\n")):
+            path = tmp_path / name
+            path.write_bytes(text.encode())
+            assert main(["eval", "--instance", str(path)]) == 0
+            assert capsys.readouterr().out == "0.700000000000\n"
+
 
 class TestRatio:
     def test_single_edge(self, write, capsys):

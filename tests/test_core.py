@@ -65,6 +65,29 @@ class TestParse:
         text = "# header_1 \u00e9\nstochmatch 1\n2 1  # counts \uff11_0\n1 1\n0 1 0.5\n"
         assert parse_instance(text).m == 1  # comments are free text
 
+    def test_lines_end_at_newline_only(self):
+        # str.splitlines() also broke lines at these, so a comment holding one
+        # turned its tail into a content line: "expected 1 edge lines, got 2".
+        for brk in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+            assert parse_instance(f"stochmatch 1\n2 1\n1 1\n0 1 0.5  # p{brk}ok\n").m == 1
+        assert parse_instance(SINGLE.replace("\n", "\r\n")) == parse_instance(SINGLE)
+        assert parse_instance("stochmatch 1\n2\t1\n1 1\n0 1 0.5\n").m == 1  # tab is whitespace
+
+    def test_control_character_outside_comment_rejected(self):
+        # Accepted: str.split() read \x1f as whitespace (edge 0-1), and
+        # str.splitlines() broke the header at \x1e and the patience at \x0c.
+        for text, lineno in (
+            ("stochmatch 1\n2 1\n1 1\n0\x1f1 0.5\n", 4),
+            ("stochmatch 1\x1e2 1\n1 1\n0 1 0.5\n", 1),
+            ("stochmatch 1\n2 1\n1\x0c1\n0 1 0.5\n", 3),
+            ("stochmatch 1\n2 1\n1 1\r0 1 0.5\n", 3),
+            ("stochmatch 1\n2 1\n1 1\n0 1 0.5\r\r\n", 4),
+            ("stochmatch 1\n2 1\n1 1\n0 1\x000.5\n", 4),
+            ("stochmatch 1\n2 1\n1 1\n0 1 0.5\x7f\n", 4),
+        ):
+            with pytest.raises(InstanceError, match=f"line {lineno}: control character outside"):
+                parse_instance(text)
+
     def test_edge_order_is_file_order(self):
         text = "stochmatch 1\n4 3\n1 1 1 1\n2 3 0.2\n0 1 0.9\n0 2 0.5\n"
         inst = parse_instance(text)

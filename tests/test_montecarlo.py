@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from conftest import arbitrary_policy, random_instances, reference_simulate
 
 from stochmatch import core
-from stochmatch.core import Instance
+from stochmatch.core import Instance, initial_state
+from stochmatch.generator import GeneratorSpec, generate_instances
 from stochmatch.montecarlo import SimResult, simulate
 from stochmatch.policy import greedy_policy, policy_value
 from stochmatch.solver import optimal_policy
@@ -100,8 +103,8 @@ POLICIES = {
 
 
 class TestStepCache:
-    """simulate caches one step per visited state; the uncached loop in
-    conftest.reference_simulate is its oracle."""
+    """simulate fills one linked node per visited state, up to the state
+    budget; the uncached loop in conftest.reference_simulate is its oracle."""
 
     @pytest.mark.parametrize("name", list(POLICIES))
     def test_matches_uncached_reference(self, name):
@@ -125,6 +128,40 @@ class TestStepCache:
         simulate(p4, counting, trials=2000, seed=3)  # a new call starts a new cache
         assert set(calls.values()) == {1}
 
+    @pytest.mark.parametrize("name", ["greedy", "optimal"])
+    def test_matches_uncached_reference_on_gnp8(self, name):
+        # Deeper graphs than the n <= 6 cases above, so that each call
+        # re-enters its linked nodes many times.
+        spec = GeneratorSpec(family="gnp", n=8, p_grid=False, seed=27)
+        for i, inst in enumerate(generate_instances(spec, 5)):
+            pol = POLICIES[name](inst, i)
+            expected = reference_simulate(inst, pol, trials=3000, seed=i)
+            assert simulate(inst, pol, trials=3000, seed=i) == expected
+
+    def test_one_transition_call_per_probed_state(self, monkeypatch):
+        # The transitions are called through montecarlo's names, the ones the
+        # benchmark's tracer counts, once per state where pol picks an edge.
+        inst = generate_instances(GeneratorSpec(family="gnp", n=8, p_grid=False, seed=27), 1)[0]
+        inner = greedy_policy(inst)
+        picked = {}
+
+        def recording(key):
+            picked[key] = inner(key)
+            return picked[key]
+
+        calls = {"apply_success": Counter(), "apply_failure": Counter()}
+        for name, counter in calls.items():
+
+            def counting(rows, key, e, apply=getattr(core, name), counter=counter):
+                counter[key] += 1
+                return apply(rows, key, e)
+
+            monkeypatch.setattr(f"stochmatch.montecarlo.{name}", counting)
+        simulate(inst, recording, trials=2000, seed=3)
+        probed = Counter(key for key, e in picked.items() if e is not None)
+        assert len(probed) > 10
+        assert calls == {"apply_success": probed, "apply_failure": probed}
+
     def test_cache_bounded_by_state_budget(self, p4, monkeypatch):
         pol = optimal_policy(p4)
         expected = simulate(p4, pol, trials=2000, seed=5)
@@ -137,6 +174,30 @@ class TestStepCache:
 
         assert simulate(p4, counting, trials=2000, seed=5) == expected
         assert len(calls) > len(set(calls))  # states past the budget are re-stepped
+
+    def test_past_the_budget_states_are_stepped_on_every_visit(self, p4, monkeypatch):
+        # A child past the budget is not linked into its parent, so each of
+        # its visits goes to pol, as each visit does in the uncached oracle.
+        pol = optimal_policy(p4)
+        visits = Counter()
+        stepped = Counter()
+
+        def visiting(key):
+            visits[key] += 1
+            return pol(key)
+
+        def stepping(key):
+            stepped[key] += 1
+            return pol(key)
+
+        reference_simulate(p4, visiting, trials=2000, seed=5)
+        monkeypatch.setattr(core, "MAX_STATES", 2)
+        simulate(p4, stepping, trials=2000, seed=5)
+        assert set(stepped) == set(visits)
+        again = {key: n for key, n in stepped.items() if n > 1}
+        assert again and again == {key: visits[key] for key in again}
+        kept = [key for key, n in stepped.items() if n == 1 and visits[key] > 1]
+        assert len(kept) <= 2
 
     @pytest.mark.parametrize("first", [None, 0])
     def test_illegal_stop_raises(self, disjoint_pair, first):
@@ -159,3 +220,12 @@ class TestStepCache:
         for e in (path.m, path.m + 3, -1):
             with pytest.raises(ValueError, match=f"edge {e} is not alive"):
                 simulate(path, lambda key: e, trials=10, seed=1)
+
+    @pytest.mark.parametrize("e", [True, False, 1.0, 0.0])
+    def test_edge_must_be_an_int(self, disjoint_pair, e):
+        # True and False were taken as edges 1 and 0; 1.0 raised a bare
+        # TypeError at the shift.  Past the root, the policy is greedy.
+        root = initial_state(disjoint_pair)
+        inner = greedy_policy(disjoint_pair)
+        with pytest.raises(ValueError, match=f"edge {e} is not alive"):
+            simulate(disjoint_pair, lambda key: e if key == root else inner(key), trials=10, seed=1)
