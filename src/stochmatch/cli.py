@@ -125,27 +125,26 @@ def build_parser():
         "matching with patience numbers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    forced = argparse.ArgumentParser(add_help=False)
+    forced.add_argument("--force", action="store_true", help="lift the state budget (MAX_STATES)")
+    on_file = argparse.ArgumentParser(add_help=False, parents=[forced])
+    on_file.add_argument("--instance", required=True)
 
-    def add_force(p):
-        p.add_argument("--force", action="store_true", help="lift the state budget (MAX_STATES)")
-
-    p_eval = sub.add_parser("eval", help="print a policy's exact expected value")
-    p_eval.add_argument("--instance", required=True)
+    p_eval = sub.add_parser("eval", parents=[on_file],
+                            help="print a policy's exact expected value")
     p_eval.add_argument("--policy", choices=["greedy", "optimal"], default="greedy")
-    add_force(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_ratio = sub.add_parser("ratio", help="print optimal and greedy values and their ratio")
-    p_ratio.add_argument("--instance", required=True)
-    add_force(p_ratio)
+    p_ratio = sub.add_parser("ratio", parents=[on_file],
+                             help="print optimal and greedy values and their ratio")
     p_ratio.set_defaults(func=cmd_ratio)
 
-    p_check = sub.add_parser("check", help="verify the full proof chain on one instance")
-    p_check.add_argument("--instance", required=True)
-    add_force(p_check)
+    p_check = sub.add_parser("check", parents=[on_file],
+                             help="verify the full proof chain on one instance")
     p_check.set_defaults(func=cmd_check)
 
-    p_scan = sub.add_parser("scan", help="generate instances, check each, write CSV")
+    p_scan = sub.add_parser("scan", parents=[forced],
+                            help="generate instances, check each, write CSV")
     p_scan.add_argument("--family", choices=FAMILIES, default="gnp")
     p_scan.add_argument("--count", type=int, default=100)
     p_scan.add_argument("--n", type=int, default=5)
@@ -155,15 +154,13 @@ def build_parser():
     p_scan.add_argument("--puniform", action="store_true",
                         help="edge probabilities uniform in (0, 1]; default: the 0.1..1.0 grid")
     p_scan.add_argument("--out", required=True)
-    add_force(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of a policy's value")
-    p_sim.add_argument("--instance", required=True)
+    p_sim = sub.add_parser("simulate", parents=[on_file],
+                           help="Monte Carlo estimate of a policy's value")
     p_sim.add_argument("--policy", choices=["greedy", "optimal"], default="greedy")
     p_sim.add_argument("--trials", type=int, default=100000)
     p_sim.add_argument("--seed", type=int, default=0)
-    add_force(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser

@@ -52,7 +52,7 @@ class TakesVertex(Event):
         return any(step.touches(self.vertex) and step.success for step in path)
 
 
-def _kth_touch(path, vertex, k):
+def _touch_number(path, vertex, k):
     """The k-th step touching the vertex, or None if fewer occur."""
     count = 0
     for step in path:
@@ -71,7 +71,7 @@ class ProbesVertexKth(Event):
         self.k = k
 
     def holds(self, path):
-        return _kth_touch(path, self.vertex, self.k) is not None
+        return _touch_number(path, self.vertex, self.k) is not None
 
 
 class TakesVertexAtKth(Event):
@@ -82,7 +82,7 @@ class TakesVertexAtKth(Event):
         self.k = k
 
     def holds(self, path):
-        step = _kth_touch(path, self.vertex, self.k)
+        step = _touch_number(path, self.vertex, self.k)
         return step is not None and step.success
 
 
@@ -94,7 +94,7 @@ class FailsKthOfVertex(Event):
         self.k = k
 
     def holds(self, path):
-        step = _kth_touch(path, self.vertex, self.k)
+        step = _touch_number(path, self.vertex, self.k)
         return step is not None and not step.success
 
 

@@ -36,7 +36,7 @@ from .events import (
     conditional_probability,
     event_probability,  # unused here, but perfbench/tracing.py rebinds it
 )
-from .policy import build_tree, greedy_policy, subtree_value
+from .policy import TreeNode, build_tree, greedy_policy, subtree_value
 from .solver import optimal_policy, optimal_value  # optimal_policy: only the tracer's
 
 TOL = 1e-9
@@ -148,10 +148,14 @@ def _walk(inst, memo, ab):
     never take it.
 
     Going down, a path carries whether ab is still unprobed (never) and, per
-    endpoint, its touch count (c), whether it took the vertex (took) and the
-    k-th touch's outcome (kth, None before it).  Leaf masses are summed in
-    event_probability's order, so they match the events module's.  Coming
-    up, each key combines its children's three values.
+    endpoint, its touch count (c) and whether it took the vertex (took).  A
+    vertex is touched at most its patience times and never after a take
+    (both transitions clear the edges of a matched or exhausted vertex, and
+    one with no patience field has degree at most its patience), so a path
+    made the patience-th touch iff c equals the patience, and took the
+    vertex there iff took.  Leaf masses are summed in event_probability's
+    order, so they match the events module's.  Coming up, each key combines
+    its children's three values.
     """
     rows, edges = kernel(inst), inst.edges
     alpha, beta, _ = edges[ab]
@@ -159,17 +163,17 @@ def _walk(inst, memo, ab):
     probe = [0.0, 0.0]
     acc_a, acc_b = [0.0] * 4, [0.0] * 4
 
-    def walk(key, prob, never, ca, took_a, kth_a, cb, took_b, kth_b):
+    def walk(key, prob, never, ca, took_a, cb, took_b):
         e = memo[key][1]
         if e is None:
             probe[never] += prob
             if never:
                 acc_a[0 if took_a else 3] += prob
-                if kth_a is not None:
-                    acc_a[1 if kth_a else 2] += prob
+                if ca == k_alpha:
+                    acc_a[1 if took_a else 2] += prob
                 acc_b[0 if took_b else 3] += prob
-                if kth_b is not None:
-                    acc_b[1 if kth_b else 2] += prob
+                if cb == k_beta:
+                    acc_b[1 if took_b else 2] += prob
             return 0.0, 0.0, 0.0
         u, v, p = edges[e]
         is_ab = e == ab
@@ -178,14 +182,10 @@ def _walk(inst, memo, ab):
         touch_b = u == beta or v == beta
         ca += touch_a
         cb += touch_b
-        at_a = touch_a and ca == k_alpha
-        at_b = touch_b and cb == k_beta
         opt_l, alg_l_l, alg_r_l = walk(apply_success(rows, key, e), prob * p, never,
-                                       ca, took_a or touch_a, True if at_a else kth_a,
-                                       cb, took_b or touch_b, True if at_b else kth_b)
+                                       ca, took_a or touch_a, cb, took_b or touch_b)
         opt_r, alg_l_r, alg_r_r = walk(apply_failure(rows, key, e), prob * (1.0 - p), never,
-                                       ca, took_a, False if at_a else kth_a,
-                                       cb, took_b, False if at_b else kth_b)
+                                       ca, took_a, cb, took_b)
         if is_ab:
             opt, alg_l = p + opt_l, alg_l_l
         else:
@@ -194,11 +194,11 @@ def _walk(inst, memo, ab):
             if not (touch_a or touch_b):
                 alg_l = p + alg_l
         alg_r = p * alg_r_l + (1.0 - p) * alg_r_r
-        if not (is_ab or (never and (at_a or at_b))):
+        if not (is_ab or (never and (touch_a and ca == k_alpha or touch_b and cb == k_beta))):
             alg_r = p + alg_r
         return opt, alg_l, alg_r
 
-    values = walk(initial_state(inst), 1.0, True, 0, False, None, 0, False, None)
+    values = walk(initial_state(inst), 1.0, True, 0, False, 0, False)
     del walk  # walk's cell refers to walk: break that cycle, so memo is freed now
     return (*values, probe[0], probe[1], acc_a, acc_b)
 
@@ -383,6 +383,7 @@ def check_subtree_optimality(inst, t, force=False):
         if not node.is_leaf and (
             node.edge not in range(inst.m)
             or (node.u, node.v, node.p) != inst.edges[node.edge]
+            or not (isinstance(node.left, TreeNode) and isinstance(node.right, TreeNode))
             or node.left.state != apply_success(rows, node.state, node.edge)
             or node.right.state != apply_failure(rows, node.state, node.edge)
         ):

@@ -56,8 +56,8 @@ def optimal_value(inst, force=False):
 
     The memo maps canonical packed state keys (see core.kernel) to (value,
     best edge or None); it holds every state reachable from the initial
-    state, and optimal_policy reads it.  Beyond core.MAX_STATES states:
-    SizeCapError, unless force.
+    state, so memo[key][1] is the optimal policy's decision at key.  Beyond
+    core.MAX_STATES states: SizeCapError, unless force.
     """
     memo = {}
     mask, limit = (1 << inst.m) - 1, state_budget(force)
@@ -65,17 +65,16 @@ def optimal_value(inst, force=False):
     return value, memo
 
 
-def optimal_policy(inst, force=False, memo=None):
-    """Deterministic policy reading argmax choices from a root solve's memo.
+def optimal_policy(inst, force=False):
+    """Deterministic policy reading argmax choices from inst's root solve.
 
-    memo is the one optimal_value returned for inst; without it, inst is
-    solved once, here, under core.MAX_STATES unless force.  A decision is one
-    memo read.  The memo holds every state reachable from the initial state,
-    so a key missing from it is not one a policy on inst can meet: ValueError,
-    and the memo is left as it was.
+    inst is solved once, here, under core.MAX_STATES unless force; a caller
+    that already holds optimal_value's memo reads a decision as memo[key][1].
+    A decision is one memo read.  The memo holds every state reachable from
+    the initial state, so a key missing from it is not one a policy on inst
+    can meet: ValueError, and the memo is left as it was.
     """
-    if memo is None:
-        _, memo = optimal_value(inst, force)
+    _, memo = optimal_value(inst, force)
 
     def choose(key):
         entry = memo.get(key)

@@ -23,14 +23,21 @@ SOURCE = Path(proofcheck.__file__).read_text(encoding="utf-8")
 MUTANTS = {
     # _walk
     "leaf_mass_to_other_side": ("probe[never] += prob", "probe[not never] += prob"),
-    "kth_outcome_swapped": ("acc_a[1 if kth_a else 2]", "acc_a[2 if kth_a else 1]"),
+    "kth_outcome_swapped": ("acc_a[1 if took_a else 2]", "acc_a[2 if took_a else 1]"),
     "ab_never_ends_never": ("never = never and not is_ab", "never = never"),
-    "kth_touch_off_by_one": ("ca == k_alpha", "ca == k_alpha + 1"),
+    "kth_touch_off_by_one": ("if ca == k_alpha:", "if ca == k_alpha + 1:"),
+    "algr_kth_touch_off_by_one": (
+        "touch_a and ca == k_alpha or", "touch_a and ca == k_alpha + 1 or"
+    ),
+    "earlier_take_counted_as_kth": ("if ca == k_alpha:", "if took_a or ca == k_alpha:"),
     "success_branch_weighted_q": ("prob * p, never,", "prob * (1.0 - p), never,"),
-    "took_set_on_failure": ("ca, took_a, False", "ca, took_a or touch_a, False"),
+    "took_set_on_failure": ("ca, took_a, cb, took_b)\n", "ca, took_a or touch_a, cb, took_b)\n"),
     "optprime_drops_p_ab": ("opt, alg_l = p + opt_l, alg_l_l", "opt, alg_l = opt_l, alg_l_l"),
     "algl_mutes_nothing": ("if not (touch_a or touch_b):", "if True:"),
-    "algr_mutes_nothing": ("if not (is_ab or (never and (at_a or at_b))):", "if True:"),
+    "algr_mutes_nothing": (
+        "if not (is_ab or (never and (touch_a and ca == k_alpha or touch_b and cb == k_beta))):",
+        "if True:",
+    ),
     # check_chain
     "r_without_division": ("r = (1.0 - p_ab) / p_ab", "r = 1.0 - p_ab"),
     "conditionals_undivided": ("m / p_never if p_never", "m if p_never"),

@@ -23,7 +23,7 @@ from stochmatch.core import (
     probeable_edges,
 )
 from stochmatch.generator import GeneratorSpec, generate_instances
-from stochmatch.policy import build_tree, greedy_policy, policy_value, tree_value
+from stochmatch.policy import TreeNode, build_tree, greedy_policy, policy_value, tree_value
 from stochmatch.proofcheck import check_lemma31, check_subtree_optimality
 from stochmatch.solver import optimal_policy, optimal_value
 
@@ -54,7 +54,7 @@ class TestOptimalValue:
         size = len(memo)
         root = initial_state(p4)
         assert memo[root][0] == value
-        assert optimal_policy(p4, memo=memo)(root) == 0  # ab, by index tie-break against cd
+        assert memo[root][1] == 0  # ab, by index tie-break against cd
         assert len(memo) == size  # both read the root solve's entries
 
     def test_deterministic_rerun(self, p4):
@@ -96,13 +96,13 @@ class TestPackedKey:
         # The root and the empty key: either outcome of any probe exhausts the
         # center, which clears every other edge, and no leaf has a field.
         assert len(memo) == 2
-        assert optimal_policy(inst, force=True, memo=memo)(initial_state(inst)) == k - 1
+        assert memo[initial_state(inst)][1] == k - 1
 
     def test_disjoint_tie_break_exact(self, disjoint16):
         value, memo = optimal_value(disjoint16)
         assert value == 8.0
         assert len(memo) == 2**16
-        assert optimal_policy(disjoint16, memo=memo)(initial_state(disjoint16)) == 0
+        assert memo[initial_state(disjoint16)][1] == 0
 
     def test_state_outside_instance_rejected(self):
         # Every vertex's patience is below its degree: fields of 1, 2, 2 and
@@ -114,10 +114,8 @@ class TestPackedKey:
         )
         _, top = field_layout(inst)
         assert top == 11
-        # A policy reads the root solve's memo and never adds to it.
-        _, memo = optimal_value(inst)
-        assert len(memo) == 23
-        solved = dict(memo)
+        assert len(optimal_value(inst)[1]) == 23
+        pol = optimal_policy(inst)
         for key in [
             pack_key(inst, 0, (0, 0, 0, 2)),  # 1 << 11: one past the last field
             pack_key(inst, 0, (1, 2, 2, 3)),  # a patience wider than its field
@@ -128,8 +126,7 @@ class TestPackedKey:
             pack_key(inst, 0b11111, (1, 1, 2, 1)),  # canonical, but no probe has failed at vertex 1
         ]:
             with pytest.raises(ValueError):
-                optimal_policy(inst, memo=memo)(key)
-            assert memo == solved
+                pol(key)
 
     def test_path16_answered_without_force(self):
         # Patience 3 is above every path vertex's degree, so no vertex has a
@@ -142,18 +139,17 @@ class TestPackedKey:
         )
         value, memo = optimal_value(inst)
         assert len(memo) == 2**15
-        assert value == tree_value(build_tree(inst, optimal_policy(inst, memo=memo)))
+        assert value == tree_value(build_tree(inst, lambda key: memo[key][1]))
 
 
 class TestCanonicalStates:
     def _check_against_reference(self, inst):
         _, memo = optimal_value(inst, force=True)
         size = len(memo)
-        pol = optimal_policy(inst, force=True, memo=memo)
         for s, (value, edge) in reference_dp(inst).items():
             key = canonical_key(inst, s)
             assert memo[key][0] == value
-            assert pol(key) == edge
+            assert memo[key][1] == edge
         assert len(memo) == size  # every reachable raw state's key was solved from the root
         for key in memo:
             alive, patience = unpack_key(inst, key)
@@ -254,14 +250,21 @@ class TestOptimalPolicy:
 
     def test_warm_memo_never_builds_rows(self, monkeypatch):
         instances = random_instances(seed=25, count=20)
-        solved = [optimal_value(inst) for inst in instances]
+        made = [(optimal_value(inst)[0], optimal_policy(inst)) for inst in instances]
 
         def no_rows(inst):
             raise AssertionError("kernel built for a memo that holds every state")
 
         monkeypatch.setattr(solver, "kernel", no_rows)
-        for inst, (value, memo) in zip(instances, solved):
-            assert build_tree(inst, optimal_policy(inst, memo=memo)).value == value
+        for inst, (value, pol) in zip(instances, made):
+            assert build_tree(inst, pol).value == value
+
+    def test_memo_is_not_a_parameter(self, p4, single_edge):
+        # A memo passed in was read unchecked: the policy made from another
+        # instance's memo was worth less than the optimum and raised nothing.
+        _, memo = optimal_value(single_edge)
+        with pytest.raises(TypeError):
+            optimal_policy(p4, memo=memo)
 
     def test_k4_certain_probes_perfect_matching(self):
         k4 = Instance(
@@ -368,3 +371,10 @@ class TestSubtreeOptimality:
         for t in foreign:
             with pytest.raises(ValueError, match="instance"):
                 check_subtree_optimality(p4, t)
+        # An internal node with a child left at None once raised AttributeError.
+        root = initial_state(single_edge)
+        leaf = TreeNode(apply_success(kernel(single_edge), root, 0))
+        for left, right in [(None, None), (leaf, None)]:
+            t = TreeNode(root, 0, 0, 1, 0.7, left, right, 0.7)
+            with pytest.raises(ValueError, match="instance"):
+                check_subtree_optimality(single_edge, t)
