@@ -149,7 +149,9 @@ class Instance:
 
 
 def state_budget(force=False):
-    """MAX_STATES, read at each call so that tests can lower it; no limit if force."""
+    """MAX_STATES, read at each call so that tests can lower it; no limit if force (a bool)."""
+    if type(force) is not bool:
+        raise ValueError(f"force must be a bool, got {force!r}")
     return math.inf if force else MAX_STATES
 
 

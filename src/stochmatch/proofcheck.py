@@ -74,7 +74,7 @@ def transform_optprime(inst, ab):
     """OPT's value, modified to descend left after every probe of ab.
 
     A state probing ab contributes p_ab plus its success child's value with
-    full weight; every other state is unchanged.
+    full weight; every other state is unchanged.  ValueError unless ab is an edge of inst.
     """
     return _walk(inst, optimal_value(inst)[1], ab)[0]
 
@@ -82,8 +82,8 @@ def transform_optprime(inst, ab):
 def value_algL(inst, ab):
     """OPT's value with every probe touching an endpoint of ab muted.
 
-    Muted probes contribute nothing but still branch with their original
-    probabilities; probes of ab descend left with weight 1.
+    Muted probes contribute nothing but still branch with their original probabilities;
+    probes of ab descend left with weight 1.  ValueError unless ab is an edge of inst.
     """
     return _walk(inst, optimal_value(inst)[1], ab)[1]
 
@@ -96,7 +96,7 @@ def value_algR(inst, ab):
     t_beta-th probe touching beta.  Once ab is probed, the endpoint patience
     of the reduced instance aligns with the original and every later probe is
     valid.  Invalid probes contribute nothing but branch with their original
-    probabilities.
+    probabilities.  ValueError unless ab is an edge of inst.
     """
     return _walk(inst, optimal_value(inst)[1], ab)[2]
 
@@ -122,13 +122,14 @@ class KeyLemmaResult(NamedTuple):
 def check_key_lemma(t, inst, gamma, ab):
     """Bound the take-at-last-probe term by the all-probes-failed term.
 
-    Requires p_ab to be the maximum edge probability in the instance.  When
-    the conditioning event (ab never probed) has mass exactly 0, its
+    ValueError unless ab is an edge of inst, gamma one of its endpoints and p_ab the maximum
+    edge probability.  When the conditioning event (ab never probed) has mass exactly 0, its
     conditionals are undefined and count as 0, so all terms are 0.
     """
-    p_ab = inst.edges[ab][2]
-    if any(p > p_ab for _, _, p in inst.edges):
-        raise ValueError("p_ab must be the maximum edge probability")
+    apply_success(kernel(inst), initial_state(inst), ab)  # every edge is alive at the root
+    alpha, beta, p_ab = inst.edges[ab]
+    if gamma not in (alpha, beta) or any(p > p_ab for _, _, p in inst.edges):
+        raise ValueError("gamma must be an endpoint of ab, and p_ab the maximum edge probability")
     t_gamma = inst.patience[gamma]
     not_probe = Not(ProbesEdge(ab))
     c_take_kth = conditional_probability(t, TakesVertexAtKth(gamma, t_gamma), not_probe) or 0.0
@@ -158,6 +159,7 @@ def _walk(inst, memo, ab):
     its children's three values.
     """
     rows, edges = kernel(inst), inst.edges
+    apply_success(rows, initial_state(inst), ab)  # every edge is alive at the root
     alpha, beta, _ = edges[ab]
     k_alpha, k_beta = inst.patience[alpha], inst.patience[beta]
     probe = [0.0, 0.0]
@@ -370,8 +372,8 @@ def check_subtree_optimality(inst, t, force=False):
     inst is solved once from the root, under core.MAX_STATES or with no
     budget if force, and each node's optimum read from that memo, which holds
     every state a tree of inst can reach.  ValueError if t is not a tree of
-    inst: its root must be inst's initial state, and each internal node must
-    probe an edge of inst alive in its state, with children at its outcomes.
+    inst: its root must be inst's initial state, and each internal node must probe an edge
+    alive in its state, as the transitions judge it, with TreeNode children at its outcomes.
     """
     if t.state != initial_state(inst):
         raise ValueError("the tree's root is not the instance's initial state")
@@ -381,11 +383,10 @@ def check_subtree_optimality(inst, t, force=False):
     _, memo = optimal_value(inst, force)
     for node, path in _first_paths(t):
         if not node.is_leaf and (
-            node.edge not in range(inst.m)
-            or (node.u, node.v, node.p) != inst.edges[node.edge]
-            or not (isinstance(node.left, TreeNode) and isinstance(node.right, TreeNode))
+            not (isinstance(node.left, TreeNode) and isinstance(node.right, TreeNode))
             or node.left.state != apply_success(rows, node.state, node.edge)
             or node.right.state != apply_failure(rows, node.state, node.edge)
+            or (node.u, node.v, node.p) != inst.edges[node.edge]
         ):
             raise ValueError(f"node at path {path!r} is not a node of a tree of this instance")
         opt = memo[node.state][0]

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from stochmatch import cli, core, generator, proofcheck
 from stochmatch.cli import main
 from stochmatch.core import Instance, format_instance
+from stochmatch.montecarlo import simulate
+from stochmatch.solver import optimal_policy
 
 SINGLE = "stochmatch 1\n2 1\n1 1\n0 1 0.7\n"
 EMPTY = "stochmatch 1\n3 0\n1 1 1\n"
@@ -304,6 +306,26 @@ class TestScan:
         assert captured.err.startswith("error: ")
         assert "missing" in captured.err
 
+    def test_failed_check_exit_1_and_every_row_written(self, tmp_path, capsys, monkeypatch):
+        argv = ["scan", "--count", "5", "--seed", "2"]
+        assert main([*argv, "--out", str(tmp_path / "real.csv")]) == 0
+        real_check = cli.check_chain
+
+        def one_fails(inst, instance_id, force):
+            report = real_check(inst, instance_id, force)
+            if instance_id == "gnp-2-3":
+                report = report._replace(verdicts={**report.verdicts, "final": False})
+            return report
+
+        monkeypatch.setattr(cli, "check_chain", one_fails)
+        capsys.readouterr()
+        out = tmp_path / "scan.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "failures 1 (gnp-2-3)" in capsys.readouterr().out.splitlines()
+        # The verdicts are not columns, so the CSV is the unpatched scan's.
+        assert out.read_bytes() == (tmp_path / "real.csv").read_bytes()
+        assert len(out.read_text().splitlines()) == 6
+
     def test_path_family_includes_known_ratio(self, tmp_path, capsys):
         # A scan over 4-vertex paths brushes against the known 1.1275 case.
         out = tmp_path / "paths.csv"
@@ -373,6 +395,27 @@ class TestSimulate:
         first = capsys.readouterr().out
         main(["simulate", "--instance", path, "--trials", "2000", "--seed", "5"])
         assert capsys.readouterr().out == first
+
+    def test_optimal_policy(self, write, capsys, monkeypatch):
+        # The command prints the library's numbers; below P4's state count it
+        # needs --force, and simulate's node budget changes no draw.
+        inst = core.parse_instance(P4)
+        result = simulate(inst, optimal_policy(inst), 2000, 7)
+        expected = (
+            f"trials 2000\nmean {result.mean:.12f}\nstddev {result.stddev:.12f}\n"
+            f"ci95_halfwidth {result.ci95_halfwidth:.12f}\nseed 7\n"
+        )
+        argv = ["simulate", "--instance", write(P4), "--policy", "optimal",
+                "--trials", "2000", "--seed", "7"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        monkeypatch.setattr(core, "MAX_STATES", 2)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "use --force" in captured.err
+        assert main([*argv, "--force"]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestArgumentValidation:

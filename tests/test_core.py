@@ -148,6 +148,26 @@ class TestParse:
             with pytest.raises(InstanceError, match=f"line {lineno}: non-ASCII or '_'"):
                 parse_instance(text)
 
+    @pytest.mark.parametrize(
+        "source, refusal",
+        [
+            ("", "empty input"),
+            ("# c\n\n", "empty input"),
+            ("stochmatch 1\n", "line 1: missing '<n> <m>' line"),
+            ("stochmatch 1\n2\n", "line 2: expected '<n> <m>'"),
+            ("stochmatch 1\n-1 0\n", "line 2: counts must be non-negative"),
+            ("stochmatch 1\n2 -1\n1 1\n", "line 2: counts must be non-negative"),
+            ("stochmatch 1\n2 0\n", "missing patience line"),
+            ("stochmatch 1\n2 1\n1 1\n0 1\n", "line 4: expected '<u> <v> <p>'"),
+            ((2, (), (1,)), "patience length must equal vertex count"),
+        ],
+    )
+    def test_refusal_message(self, source, refusal):
+        # A str is parsed; a tuple holds Instance's n, edges and patience.
+        with pytest.raises(InstanceError) as err:
+            parse_instance(source) if isinstance(source, str) else Instance(*source)
+        assert str(err.value) == refusal
+
     def test_roundtrip(self):
         inst = parse_instance("stochmatch 1\n3 2\n2 1 3\n0 1 0.25\n1 2 1\n")
         assert parse_instance(format_instance(inst)) == inst
@@ -342,6 +362,9 @@ class TestStateBudget:
         "build_tree": lambda inst, force: build_tree(inst, greedy_policy(inst), force=force),
         "policy_value": lambda inst, force: policy_value(inst, greedy_policy(inst), force=force),
         "check_chain": lambda inst, force: check_chain(inst, force=force),
+        "check_subtree_optimality": lambda inst, force: check_subtree_optimality(
+            inst, build_tree(inst, greedy_policy(inst), force=True), force=force
+        ),
     }
 
     @pytest.mark.parametrize("name", list(ENTRY_POINTS))
@@ -352,6 +375,14 @@ class TestStateBudget:
         with pytest.raises(SizeCapError):
             run(p4, False)
         assert run(p4, True) == expected
+
+    @pytest.mark.parametrize("force", ["no", [0], 1, 0.0, None])
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_force_must_be_a_bool(self, name, force, p4):
+        # Truthy values once lifted the budget and falsy ones kept it.
+        with pytest.raises(ValueError) as err:
+            self.ENTRY_POINTS[name](p4, force)
+        assert str(err.value) == f"force must be a bool, got {force!r}"
 
     def test_solve_at_budget_and_one_past(self, p4, monkeypatch):
         value, memo = optimal_value(p4)

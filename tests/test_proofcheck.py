@@ -218,9 +218,12 @@ class TestKeyLemma:
         assert result.lhs == 0.0
 
     def test_maximality_precondition(self, p4):
+        # Edge 0 has p=0.5 < 0.51.  Vertices 0 and -3 (read as vertex 1) are
+        # not endpoints of edge 1, 1-2: both once got a report.
         t = opt_tree_of(p4)
-        with pytest.raises(ValueError):
-            check_key_lemma(t, p4, 0, 0)  # edge 0 has p=0.5 < 0.51
+        for gamma, ab in [(0, 0), (0, 1), (-3, 1)]:
+            with pytest.raises(ValueError):
+                check_key_lemma(t, p4, gamma, ab)
 
     def test_no_violations_on_random_instances(self):
         for inst in random_instances(seed=48, count=40):
@@ -229,6 +232,23 @@ class TestKeyLemma:
             t = opt_tree_of(inst)
             assert check_key_lemma(t, inst, alpha, ab).ok
             assert check_key_lemma(t, inst, beta, ab).ok
+
+
+TAKING_AB = {
+    "transform_optprime": transform_optprime,
+    "value_algL": value_algL,
+    "value_algR": value_algR,
+    "check_key_lemma": lambda inst, ab: check_key_lemma(opt_tree_of(inst), inst, 1, ab),
+}
+
+
+@pytest.mark.parametrize("ab", [-1, 3, True, 1.0])
+@pytest.mark.parametrize("name", list(TAKING_AB))
+def test_ab_that_is_not_an_edge_rejected(name, ab, p4):
+    # The transitions judge ab.  Indexing inst.edges read -1 as edge 2 and
+    # True as edge 1, and raised IndexError for 3 and TypeError for 1.0.
+    with pytest.raises(ValueError, match=f"edge {ab} is not alive"):
+        TAKING_AB[name](p4, ab)
 
 
 class TestChain:

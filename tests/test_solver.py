@@ -314,6 +314,20 @@ class TestLemma31:
             t = build_tree(inst, optimal_policy(inst))
             assert check_lemma31(t).ok
 
+    def test_violation_reported(self):
+        # Probing edge 0 first, then greedy: its success child is worth 0.0
+        # and its failure child 2.0, so the root's margin is 1.5.
+        inst = Instance(n=4, edges=((0, 1, 0.5), (0, 2, 1.0), (1, 3, 1.0)), patience=(2, 2, 1, 1))
+        root, greedy = initial_state(inst), greedy_policy(inst)
+        t = build_tree(inst, lambda key: 0 if key == root else greedy(key))
+        assert (t.left.value, t.right.value) == (0.0, 2.0)
+        report = check_lemma31(t)
+        assert report == (1.5, 3, [("", 1.5)])
+        assert not report.ok
+        report = check_lemma31(build_tree(inst, optimal_policy(inst)))
+        assert report == (1.0, 3, [])
+        assert report.ok
+
     def test_each_shared_node_checked_once(self, disjoint16):
         # 16 internal nodes and one leaf, though the tree has 2^16 - 1 internal path nodes.
         report = check_lemma31(build_tree(disjoint16, greedy_policy(disjoint16)))
@@ -378,3 +392,8 @@ class TestSubtreeOptimality:
             t = TreeNode(root, 0, 0, 1, 0.7, left, right, 0.7)
             with pytest.raises(ValueError, match="instance"):
                 check_subtree_optimality(single_edge, t)
+        # An edge of 0.0 passed a range test, and indexing the edges with it
+        # raised TypeError; the transitions refuse it.
+        t = build_tree(single_edge, greedy_policy(single_edge))._replace(edge=0.0)
+        with pytest.raises(ValueError, match="edge 0.0 is not alive"):
+            check_subtree_optimality(single_edge, t)
