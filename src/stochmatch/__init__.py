@@ -17,7 +17,6 @@ from .generator import GeneratorSpec, generate_instances
 from .montecarlo import SimResult, simulate
 from .policy import (
     build_tree,
-    greedy_first_edge,
     greedy_policy,
     policy_value,
     tree_value,
@@ -45,7 +44,6 @@ __all__ = [
     "check_subtree_optimality",
     "format_instance",
     "generate_instances",
-    "greedy_first_edge",
     "greedy_policy",
     "initial_state",
     "kernel",

@@ -54,13 +54,6 @@ def greedy_policy(inst):
     return choose
 
 
-def greedy_first_edge(inst):
-    """Greedy's first probe: the max-probability edge, lowest index on ties."""
-    if inst.m == 0:
-        raise ValueError("instance has no edges")
-    return greedy_policy(inst)(initial_state(inst))
-
-
 def build_tree(inst, pol, force=False):
     """Materialize the full decision tree of a policy.
 

@@ -10,8 +10,8 @@ and ALG_R, and the path-event masses; the public transform_optprime,
 value_algL and value_algR each solve once and read one value from the same
 walk.  Greedy's tree gives ab and greedy's value, and the induction
 endpoints are the memo's values at its root children, the states after ab
-succeeds and after it fails.  The events module, through check_key_lemma on
-an optimal tree, is the reference specification of those events.
+succeeds and after it fails.  The events module, through check_key_lemma(inst,
+ab) on inst's optimal tree, is the reference specification of those events.
 
 check_lemma31 (E T(v) <= E L(v) + 1) checks an optimal tree node by node,
 and check_subtree_optimality checks any tree of the instance against the
@@ -37,7 +37,7 @@ from .events import (
     event_probability,  # unused here, but perfbench/tracing.py rebinds it
 )
 from .policy import TreeNode, build_tree, greedy_policy, subtree_value
-from .solver import optimal_policy, optimal_value  # optimal_policy: only the tracer's
+from .solver import optimal_policy, optimal_value
 
 TOL = 1e-9
 
@@ -119,24 +119,28 @@ class KeyLemmaResult(NamedTuple):
         return holds(self.lemma_slack) and holds(self.corollary_slack)
 
 
-def check_key_lemma(t, inst, gamma, ab):
-    """Bound the take-at-last-probe term by the all-probes-failed term.
+def check_key_lemma(inst, ab):
+    """The key lemma at alpha and at beta, ab's endpoints, on inst's optimal tree, built here.
 
-    ValueError unless ab is an edge of inst, gamma one of its endpoints and p_ab the maximum
-    edge probability.  When the conditioning event (ab never probed) has mass exactly 0, its
-    conditionals are undefined and count as 0, so all terms are 0.
+    Each KeyLemmaResult bounds the take-at-last-probe term by the all-probes-failed term.
+    ValueError unless ab is an edge of inst and p_ab the maximum edge probability.  When the
+    conditioning event (ab never probed) has mass exactly 0, its conditionals are undefined
+    and count as 0, so all terms are 0.
     """
     apply_success(kernel(inst), initial_state(inst), ab)  # every edge is alive at the root
     alpha, beta, p_ab = inst.edges[ab]
-    if gamma not in (alpha, beta) or any(p > p_ab for _, _, p in inst.edges):
-        raise ValueError("gamma must be an endpoint of ab, and p_ab the maximum edge probability")
-    t_gamma = inst.patience[gamma]
-    not_probe = Not(ProbesEdge(ab))
-    c_take_kth = conditional_probability(t, TakesVertexAtKth(gamma, t_gamma), not_probe) or 0.0
-    c_fail_kth = conditional_probability(t, FailsKthOfVertex(gamma, t_gamma), not_probe) or 0.0
-    c_not_take = conditional_probability(t, Not(TakesVertex(gamma)), not_probe) or 0.0
-    lhs = (1.0 - p_ab) / p_ab * c_take_kth
-    return KeyLemmaResult(lhs=lhs, rhs_lemma=c_fail_kth, rhs_corollary=c_not_take)
+    if any(p > p_ab for _, _, p in inst.edges):
+        raise ValueError("p_ab must be the maximum edge probability")
+    t, not_probe = build_tree(inst, optimal_policy(inst)), Not(ProbesEdge(ab))
+
+    def cond(event):
+        return conditional_probability(t, event, not_probe) or 0.0
+
+    return tuple(
+        KeyLemmaResult((1.0 - p_ab) / p_ab * cond(TakesVertexAtKth(g, inst.patience[g])),
+                       cond(FailsKthOfVertex(g, inst.patience[g])), cond(Not(TakesVertex(g))))
+        for g in (alpha, beta)
+    )
 
 
 def _walk(inst, memo, ab):

@@ -160,6 +160,7 @@ class TestParse:
             ("stochmatch 1\n2 0\n", "missing patience line"),
             ("stochmatch 1\n2 1\n1 1\n0 1\n", "line 4: expected '<u> <v> <p>'"),
             ((2, (), (1,)), "patience length must equal vertex count"),
+            ("stochmatch 1\n3 1\n1 1 1\n0 1 0.5\n1 2 0.5\n", "expected 1 edge lines, got 2"),
         ],
     )
     def test_refusal_message(self, source, refusal):

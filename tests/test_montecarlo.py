@@ -199,11 +199,12 @@ class TestStepCache:
         kept = [key for key, n in stepped.items() if n == 1 and visits[key] > 1]
         assert len(kept) <= 2
 
-    @pytest.mark.parametrize("first", [None, 0])
+    @pytest.mark.parametrize("first", [None, 0, 1])
     def test_illegal_stop_raises(self, disjoint_pair, first):
-        # Stopping at the root, or after edge 0, while an edge is alive.
+        # Stopping at the root, or after edge 0 or edge 1, while the other
+        # edge is alive.  Edge 1 first leaves only edge 0, the lowest bit.
         def pol(key):
-            return first if key & 1 else None
+            return first if first is not None and key >> first & 1 else None
 
         with pytest.raises(ValueError, match="stopped while edges were probeable"):
             simulate(disjoint_pair, pol, trials=10, seed=1)

@@ -23,7 +23,6 @@ from stochmatch.core import (
 from stochmatch.policy import (
     TreeNode,
     build_tree,
-    greedy_first_edge,
     greedy_policy,
     policy_value,
     tree_value,
@@ -37,7 +36,6 @@ class TestGreedy:
             n=4, edges=((0, 1, 0.5), (1, 2, 0.9), (2, 3, 0.5)), patience=(1, 1, 1, 1)
         )
         assert greedy_policy(inst)(initial_state(inst)) == 1
-        assert greedy_first_edge(inst) == 1
 
     def test_tie_breaks_by_index(self):
         inst = Instance(n=4, edges=((0, 1, 0.5), (2, 3, 0.5)), patience=(1, 1, 1, 1))

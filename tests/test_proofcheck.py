@@ -12,7 +12,7 @@ from conftest import (
 )
 
 from stochmatch import proofcheck, solver
-from stochmatch.core import Instance
+from stochmatch.core import Instance, initial_state
 from stochmatch.events import (
     Not,
     ProbesEdge,
@@ -22,7 +22,7 @@ from stochmatch.events import (
     event_probability,
 )
 from stochmatch.generator import P_GRID
-from stochmatch.policy import build_tree, greedy_first_edge, subtree_value
+from stochmatch.policy import build_tree, greedy_policy, subtree_value
 from stochmatch.proofcheck import (
     check_chain,
     check_key_lemma,
@@ -96,7 +96,7 @@ class TestOptPrime:
 
     def test_opt_bounded_by_optprime(self):
         for inst in random_instances(seed=41, count=25):
-            ab = greedy_first_edge(inst)
+            ab = greedy_policy(inst)(initial_state(inst))
             p_ab = inst.edges[ab][2]
             t = opt_tree_of(inst)
             e_opt = subtree_value(t)
@@ -110,13 +110,13 @@ class TestAlgL:
         assert value_algL(single_edge, 0) == 0.0
 
     def test_disjoint_second_edge_survives(self, disjoint_pair):
-        ab = greedy_first_edge(disjoint_pair)
+        ab = greedy_policy(disjoint_pair)(initial_state(disjoint_pair))
         assert ab == 0
         assert value_algL(disjoint_pair, 0) == pytest.approx(0.8, abs=1e-12)
 
     def test_optl_equality(self):
         for inst in random_instances(seed=42, count=40):
-            ab = greedy_first_edge(inst)
+            ab = greedy_policy(inst)(initial_state(inst))
             alpha, beta, p_ab = inst.edges[ab]
             t = opt_tree_of(inst)
             e_optprime = transform_optprime(inst, ab)
@@ -126,13 +126,13 @@ class TestAlgL:
 
     def test_bounded_by_opt(self):
         for inst in random_instances(seed=43, count=20):
-            ab = greedy_first_edge(inst)
+            ab = greedy_policy(inst)(initial_state(inst))
             t = opt_tree_of(inst)
             assert value_algL(inst, ab) <= subtree_value(t) + 1e-9
 
     def test_bounded_by_reduced_optimum(self):
         for inst in random_instances(seed=44, count=20):
-            ab = greedy_first_edge(inst)
+            ab = greedy_policy(inst)(initial_state(inst))
             alpha, beta, _ = inst.edges[ab]
             opt_reduced, _ = optimal_value(_reduced_after_success(inst, alpha, beta))
             assert value_algL(inst, ab) <= opt_reduced + 1e-9
@@ -149,7 +149,7 @@ class TestResidualRL:
 
     def test_range(self):
         for inst in random_instances(seed=45, count=20):
-            ab = greedy_first_edge(inst)
+            ab = greedy_policy(inst)(initial_state(inst))
             alpha, beta, p_ab = inst.edges[ab]
             t = opt_tree_of(inst)
             r = residual_RL(t, ab, alpha, beta, p_ab)
@@ -172,7 +172,7 @@ class TestAlgR:
 
     def test_optr_equality(self):
         for inst in random_instances(seed=46, count=40):
-            ab = greedy_first_edge(inst)
+            ab = greedy_policy(inst)(initial_state(inst))
             alpha, beta, p_ab = inst.edges[ab]
             t = opt_tree_of(inst)
             e_opt = subtree_value(t)
@@ -184,7 +184,7 @@ class TestAlgR:
 
     def test_bounded_by_opt(self):
         for inst in random_instances(seed=47, count=20):
-            ab = greedy_first_edge(inst)
+            ab = greedy_policy(inst)(initial_state(inst))
             t = opt_tree_of(inst)
             assert value_algR(inst, ab) <= subtree_value(t) + 1e-9
 
@@ -206,39 +206,39 @@ class TestResidualRR:
 class TestKeyLemma:
     def test_no_kth_probe_gives_zero_lhs(self):
         inst = Instance(n=4, edges=((0, 1, 0.5), (2, 3, 0.4)), patience=(5, 5, 5, 5))
-        t = opt_tree_of(inst)
-        result = check_key_lemma(t, inst, 0, 0)
-        assert result.lhs == 0.0
-        assert result.ok
+        for result in check_key_lemma(inst, 0):
+            assert result.lhs == 0.0
+            assert result.ok
 
     def test_certain_edge_gives_zero_lhs(self):
         inst = Instance(n=3, edges=((0, 1, 1.0), (1, 2, 0.5)), patience=(2, 2, 2))
-        t = opt_tree_of(inst)
-        result = check_key_lemma(t, inst, 0, 0)
-        assert result.lhs == 0.0
+        results = check_key_lemma(inst, 0)
+        assert [result.lhs for result in results] == [0.0, 0.0]
+        report = check_chain(inst)
+        assert results == (report.keylem_alpha, report.keylem_beta)
 
     def test_maximality_precondition(self, p4):
-        # Edge 0 has p=0.5 < 0.51.  Vertices 0 and -3 (read as vertex 1) are
-        # not endpoints of edge 1, 1-2: both once got a report.
-        t = opt_tree_of(p4)
-        for gamma, ab in [(0, 0), (0, 1), (-3, 1)]:
-            with pytest.raises(ValueError):
-                check_key_lemma(t, p4, gamma, ab)
+        # Edge 0 has p=0.5 < 0.51.
+        with pytest.raises(ValueError, match="maximum edge probability"):
+            check_key_lemma(p4, 0)
+
+    def test_takes_no_tree_or_endpoint(self, p4):
+        # It builds inst's optimal tree and answers for both endpoints, so a
+        # tree of another instance or a vertex off ab cannot be passed.
+        with pytest.raises(TypeError):
+            check_key_lemma(opt_tree_of(p4), p4, 1, 1)
 
     def test_no_violations_on_random_instances(self):
         for inst in random_instances(seed=48, count=40):
-            ab = greedy_first_edge(inst)
-            alpha, beta, _ = inst.edges[ab]
-            t = opt_tree_of(inst)
-            assert check_key_lemma(t, inst, alpha, ab).ok
-            assert check_key_lemma(t, inst, beta, ab).ok
+            ab = greedy_policy(inst)(initial_state(inst))
+            assert all(result.ok for result in check_key_lemma(inst, ab))
 
 
 TAKING_AB = {
     "transform_optprime": transform_optprime,
     "value_algL": value_algL,
     "value_algR": value_algR,
-    "check_key_lemma": lambda inst, ab: check_key_lemma(opt_tree_of(inst), inst, 1, ab),
+    "check_key_lemma": check_key_lemma,
 }
 
 
@@ -374,7 +374,7 @@ class TestChainMatchesReference:
         assert any(grid) and not all(grid)
         for inst in instances:
             report = check_chain(inst)
-            ab = greedy_first_edge(inst)
+            ab = greedy_policy(inst)(initial_state(inst))
             alpha, beta, p_ab = inst.edges[ab]
             t_alpha, t_beta = inst.patience[alpha], inst.patience[beta]
             t = opt_tree_of(inst)
@@ -396,8 +396,7 @@ class TestChainMatchesReference:
             assert report.p_probe_ab == event_probability(t, ProbesEdge(ab))
             assert report.e_RL == residual_RL(t, ab, alpha, beta, p_ab)
             assert report.e_RR == residual_RR(t, ab, alpha, beta, t_alpha, t_beta, p_ab)
-            assert report.keylem_alpha == check_key_lemma(t, inst, alpha, ab)
-            assert report.keylem_beta == check_key_lemma(t, inst, beta, ab)
+            assert check_key_lemma(inst, ab) == (report.keylem_alpha, report.keylem_beta)
             assert report.cond_take_alpha == cond(TakesVertex(alpha))
             assert report.cond_take_beta == cond(TakesVertex(beta))
             assert report.cond_take_alpha_kth == cond(TakesVertexAtKth(alpha, t_alpha))
