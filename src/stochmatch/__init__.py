@@ -19,7 +19,6 @@ from .policy import (
     build_tree,
     greedy_policy,
     policy_value,
-    tree_value,
 )
 from .proofcheck import (
     ChainReport,
@@ -53,5 +52,4 @@ __all__ = [
     "policy_value",
     "probeable_edges",
     "simulate",
-    "tree_value",
 ]

@@ -20,7 +20,7 @@ import time
 from .core import InstanceError, SizeCapError, format_instance, parse_instance
 from .generator import FAMILIES, GeneratorSpec, iter_instances
 from .montecarlo import simulate
-from .policy import build_tree, greedy_policy, tree_value
+from .policy import greedy_policy, policy_value
 from .proofcheck import ChainReport, check_chain, factor2_slack, holds, opt_grd_ratio
 from .solver import optimal_policy, optimal_value
 
@@ -40,7 +40,7 @@ def _load_instance(path):
 def cmd_eval(args):
     inst = _load_instance(args.instance)
     if args.policy == "greedy":
-        value = tree_value(build_tree(inst, greedy_policy(inst), force=args.force))
+        value = policy_value(inst, greedy_policy(inst), args.force)
     else:
         value, _ = optimal_value(inst, force=args.force)
     print(_fmt(value))
@@ -50,7 +50,7 @@ def cmd_eval(args):
 def cmd_ratio(args):
     inst = _load_instance(args.instance)
     e_opt, _ = optimal_value(inst, force=args.force)
-    e_grd = tree_value(build_tree(inst, greedy_policy(inst), force=args.force))
+    e_grd = policy_value(inst, greedy_policy(inst), args.force)
     print(f"opt {_fmt(e_opt)}")
     print(f"grd {_fmt(e_grd)}")
     print(f"ratio {_fmt(opt_grd_ratio(e_opt, e_grd))}")

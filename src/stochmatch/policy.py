@@ -6,7 +6,8 @@ when no edge is alive: every alive edge of a canonical key is probeable.
 Decision trees materialize a policy's full branching structure: left child is
 the successful probe, right child the failed one.  Equal states share one
 node, so a tree is a DAG whose paths are the policy's probe histories.  Each
-node carries its subtree's value, computed once when the node is built.
+node carries its subtree's value (t.value), computed once when it is built;
+policy_value is the one public reader of a policy's value.
 """
 
 from __future__ import annotations
@@ -90,12 +91,8 @@ def _build(inst, rows, pol, key, nodes, limit):
     return node
 
 
-def tree_value(t):
-    """Expected matched count of the tree: its root's value."""
+def tree_value(t):  # t.value; kept only because perfbench's solve workload and tracer read it
     return t.value
-
-
-subtree_value = tree_value  # the subtree rooted at t: the same read
 
 
 def policy_value(inst, pol, force=False):

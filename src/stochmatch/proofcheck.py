@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import apply_failure, apply_success, initial_state, kernel
+from .core import apply_failure, apply_success, check_stop, initial_state, kernel
 from .events import (
     FailsKthOfVertex,
     Not,
@@ -36,7 +36,8 @@ from .events import (
     conditional_probability,
     event_probability,  # unused here, but perfbench/tracing.py rebinds it
 )
-from .policy import TreeNode, build_tree, greedy_policy, subtree_value
+from .policy import TreeNode, build_tree, greedy_policy
+from .policy import tree_value as subtree_value  # kept only because perfbench's tracer binds it
 from .solver import optimal_policy, optimal_value
 
 TOL = 1e-9
@@ -375,9 +376,9 @@ def check_subtree_optimality(inst, t, force=False):
 
     inst is solved once from the root, under core.MAX_STATES or with no
     budget if force, and each node's optimum read from that memo, which holds
-    every state a tree of inst can reach.  ValueError if t is not a tree of
-    inst: its root must be inst's initial state, and each internal node must probe an edge
-    alive in its state, as the transitions judge it, with TreeNode children at its outcomes.
+    every state a tree of inst can reach.  ValueError unless t is a tree of inst: its root
+    inst's initial state, each leaf a stop core.check_stop allows, and each internal node an
+    edge the transitions find alive in its state, with TreeNode children at its outcomes.
     """
     if t.state != initial_state(inst):
         raise ValueError("the tree's root is not the instance's initial state")
@@ -386,7 +387,9 @@ def check_subtree_optimality(inst, t, force=False):
     violations = []
     _, memo = optimal_value(inst, force)
     for node, path in _first_paths(t):
-        if not node.is_leaf and (
+        if node.is_leaf:
+            check_stop(inst, node.state)
+        elif (
             not (isinstance(node.left, TreeNode) and isinstance(node.right, TreeNode))
             or node.left.state != apply_success(rows, node.state, node.edge)
             or node.right.state != apply_failure(rows, node.state, node.edge)

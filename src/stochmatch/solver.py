@@ -71,13 +71,13 @@ def optimal_policy(inst, force=False):
     inst is solved once, here, under core.MAX_STATES unless force; a caller
     that already holds optimal_value's memo reads a decision as memo[key][1].
     A decision is one memo read.  The memo holds every state reachable from
-    the initial state, so a key missing from it is not one a policy on inst
-    can meet: ValueError, and the memo is left as it was.
+    the initial state, so a key missing from it or not an int (True and 7.0
+    too) is not one a policy on inst can meet: ValueError, memo left as it was.
     """
     _, memo = optimal_value(inst, force)
 
     def choose(key):
-        entry = memo.get(key)
+        entry = memo.get(key) if type(key) is int else None
         if entry is None:
             raise ValueError("state key is not reachable in this instance")
         return entry[1]

@@ -78,10 +78,10 @@ class TestEval:
 
     def test_p4_optimal_reads_the_solve(self, write, capsys, monkeypatch):
         # The optimal value is the root solve's; no tree is built for it.
-        def no_tree(*args, **kwargs):
-            raise AssertionError("build_tree called")
+        def not_called(*args, **kwargs):
+            raise AssertionError("policy_value called")
 
-        monkeypatch.setattr(cli, "build_tree", no_tree)
+        monkeypatch.setattr(cli, "policy_value", not_called)
         assert main(["eval", "--instance", write(P4), "--policy", "optimal"]) == 0
         assert capsys.readouterr().out == "1.127500000000\n"
 
@@ -174,7 +174,7 @@ class TestRatio:
 
         for module in (cli, proofcheck):
             monkeypatch.setattr(module, "optimal_value", planted_solve)
-        monkeypatch.setattr(cli, "tree_value", lambda t: e_grd)
+        monkeypatch.setattr(cli, "policy_value", lambda inst, pol, force=False: e_grd)
         monkeypatch.setattr(proofcheck, "subtree_value", lambda t: e_grd)
         path = write(SINGLE)
         main(["check", "--instance", path])

@@ -22,7 +22,7 @@ from stochmatch.events import (
     event_probability,
 )
 from stochmatch.generator import P_GRID
-from stochmatch.policy import build_tree, greedy_policy, subtree_value
+from stochmatch.policy import build_tree, greedy_policy, tree_value
 from stochmatch.proofcheck import (
     check_chain,
     check_key_lemma,
@@ -92,14 +92,14 @@ class TestOptPrime:
         assert unprobed  # tight patience leaves some edges untouched
         for e in unprobed:
             value = transform_optprime(inst, e)
-            assert value == pytest.approx(subtree_value(t), abs=1e-12)
+            assert value == pytest.approx(tree_value(t), abs=1e-12)
 
     def test_opt_bounded_by_optprime(self):
         for inst in random_instances(seed=41, count=25):
             ab = greedy_policy(inst)(initial_state(inst))
             p_ab = inst.edges[ab][2]
             t = opt_tree_of(inst)
-            e_opt = subtree_value(t)
+            e_opt = tree_value(t)
             e_optprime = transform_optprime(inst, ab)
             p_probe = event_probability(t, ProbesEdge(ab))
             assert e_opt <= e_optprime + (1.0 - p_ab) * p_probe + 1e-9
@@ -128,7 +128,7 @@ class TestAlgL:
         for inst in random_instances(seed=43, count=20):
             ab = greedy_policy(inst)(initial_state(inst))
             t = opt_tree_of(inst)
-            assert value_algL(inst, ab) <= subtree_value(t) + 1e-9
+            assert value_algL(inst, ab) <= tree_value(t) + 1e-9
 
     def test_bounded_by_reduced_optimum(self):
         for inst in random_instances(seed=44, count=20):
@@ -168,14 +168,14 @@ class TestAlgR:
         inst = Instance(n=3, edges=((0, 1, 1.0), (0, 2, 0.1)), patience=(5, 5, 5))
         t = opt_tree_of(inst)
         assert event_probability(t, ProbesEdge(1)) == 0.0
-        assert value_algR(inst, 1) == pytest.approx(subtree_value(t), abs=1e-12)
+        assert value_algR(inst, 1) == pytest.approx(tree_value(t), abs=1e-12)
 
     def test_optr_equality(self):
         for inst in random_instances(seed=46, count=40):
             ab = greedy_policy(inst)(initial_state(inst))
             alpha, beta, p_ab = inst.edges[ab]
             t = opt_tree_of(inst)
-            e_opt = subtree_value(t)
+            e_opt = tree_value(t)
             e_algR = value_algR(inst, ab)
             e_RR = residual_RR(
                 t, ab, alpha, beta, inst.patience[alpha], inst.patience[beta], p_ab
@@ -186,7 +186,7 @@ class TestAlgR:
         for inst in random_instances(seed=47, count=20):
             ab = greedy_policy(inst)(initial_state(inst))
             t = opt_tree_of(inst)
-            assert value_algR(inst, ab) <= subtree_value(t) + 1e-9
+            assert value_algR(inst, ab) <= tree_value(t) + 1e-9
 
 
 class TestResidualRR:

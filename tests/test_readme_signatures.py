@@ -7,7 +7,10 @@ prefix of that function's parameters, by name, as `check_subtree_optimality(inst
 t)` does for check_subtree_optimality(inst, t, force=False).  Keyword
 arguments must name a parameter.
 Names that do not resolve to such a function, such as range and Fraction,
-are skipped.  Fenced code blocks are not read.
+are skipped.  Fenced code blocks are not read for this.
+
+The Library section's Python example runs as written on P4, imports from
+stochmatch only public names, and the section names every public name.
 """
 
 import ast
@@ -68,3 +71,27 @@ def test_readme_calls_match_signatures():
         if args != params[: len(args)] or any(kw.arg not in params for kw in node.keywords):
             stale.append(f"{span} against {fn.__name__}({', '.join(params)})")
     assert stale == []
+
+
+def _library_section():
+    return README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_library_example_runs(p4, tmp_path, monkeypatch):
+    (example,) = re.findall(r"^```python\n(.*?)^```", _library_section(), re.MULTILINE | re.DOTALL)
+    code = ast.parse(example)
+    imported = {
+        alias.name
+        for node in ast.walk(code)
+        if isinstance(node, ast.ImportFrom) and node.module == "stochmatch"
+        for alias in node.names
+    }
+    assert imported and imported <= set(stochmatch.__all__)
+    (tmp_path / "instance.txt").write_text(stochmatch.format_instance(p4), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_library_section_names_every_public_name():
+    section = _library_section()
+    assert [name for name in stochmatch.__all__ if not re.search(rf"\b{name}\b", section)] == []

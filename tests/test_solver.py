@@ -104,7 +104,7 @@ class TestPackedKey:
         assert len(memo) == 2**16
         assert memo[initial_state(disjoint16)][1] == 0
 
-    def test_state_outside_instance_rejected(self):
+    def test_state_outside_instance_rejected(self, p4):
         # Every vertex's patience is below its degree: fields of 1, 2, 2 and
         # 1 bits above the 5 alive bits, so a key has 11 bits.
         inst = Instance(
@@ -124,8 +124,16 @@ class TestPackedKey:
             pack_key(inst, 0b00001, (0, 2, 2, 1)),  # not canonical: edge 0 alive at exhausted vertex 0
             pack_key(inst, 0b10000, (1, 2, 2, 0)),  # not canonical: edge 4 alive at exhausted vertex 3
             pack_key(inst, 0b11111, (1, 1, 2, 1)),  # canonical, but no probe has failed at vertex 1
+            float(initial_state(inst)),  # the root key as a float once read the root's decision
         ]:
             with pytest.raises(ValueError):
+                pol(key)
+        # P4's root key is 7 and key 1 is one of its states: True and 1.0
+        # equal 1, 7.0 equals 7, and each once read that state's edge 0.
+        pol = optimal_policy(p4)
+        assert initial_state(p4) == 7 and pol(7) == 0 and pol(1) == 0
+        for key in (True, 1.0, 7.0):
+            with pytest.raises(ValueError, match="not reachable"):
                 pol(key)
 
     def test_path16_answered_without_force(self):
@@ -397,3 +405,7 @@ class TestSubtreeOptimality:
         t = build_tree(single_edge, greedy_policy(single_edge))._replace(edge=0.0)
         with pytest.raises(ValueError, match="edge 0.0 is not alive"):
             check_subtree_optimality(single_edge, t)
+        # A lone leaf at P4's root stops while every edge is alive, which
+        # build_tree refuses; it once got a report with one violation.
+        with pytest.raises(ValueError, match="stopped while edges were probeable"):
+            check_subtree_optimality(p4, TreeNode(initial_state(p4)))
