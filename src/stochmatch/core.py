@@ -1,10 +1,11 @@
 """Instances of the stochastic matching model and probe-state transitions.
 
 An instance is an undirected graph with a success probability on every edge
-and a patience number on every vertex.  A state is one int, its canonical
-packed key: which edges are still alive and how much patience is left at
-each vertex whose patience is below its degree, the only vertices whose
-patience can run out.  The layout is fixed per instance and known to this
+and a patience number on every vertex.  A state is one int, its packed key:
+which edges are still alive and how much patience is left at each vertex
+whose patience is below its degree, the only vertices whose patience can run
+out.  Every alive edge of a key is probeable, but two keys can share a
+future (see kernel).  The layout is fixed per instance and known to this
 module alone, which computes its transition rows (an immutable tuple) and
 initial key once per instance, shared by every evaluator.  Every key comes
 from initial_state and the transitions, so none is checked against the layout.
@@ -251,9 +252,12 @@ def kernel(inst):
     patience.bit_length() bits wide.  A vertex whose patience is at least its
     degree has no field: each probe at it removes one of its edges, so its
     patience can never run out while it has an edge, and states that differ
-    only in what is left of it have the same future.  Keys are canonical: no
-    key has an alive edge at a vertex whose field is 0, so an alive edge is a
-    probeable one, and states with the same future share one key.  rows[e] is
+    only in what is left of it have the same future.  No key has an alive
+    edge at a vertex whose field is 0, so an alive edge is a probeable one.
+    Keys are not fully canonical: states that differ only in a field holding
+    more patience than its vertex has alive edges have the same future (the
+    2,000 scan instances at seed 1 have 53,747 DP keys, 42,406 with each field
+    clamped to its alive degree; the clamp made the DP slower).  rows[e] is
     (field of u, field of v, u's other edges, v's other edges, success mask,
     failure decrement, p, 1 - p), where a vertex with no field has field 0 and
     other edges 0.  A success child is key & keep; a failure child is
@@ -276,7 +280,7 @@ def check_stop(inst, key):
 
 
 def probeable_edges(inst, key):
-    """Alive edges of a canonical key, which are the probeable ones, ascending."""
+    """Alive edges of a key, which are the probeable ones, ascending."""
     return [e for e in range(inst.m) if key >> e & 1]
 
 

@@ -2,7 +2,7 @@
 
 A policy is a callable mapping a state key (see core.kernel) to the edge
 index it probes next, or None to stop.  Stop is only legal (and mandatory)
-when no edge is alive: every alive edge of a canonical key is probeable.
+when no edge is alive: every alive edge of a key is probeable.
 Decision trees materialize a policy's full branching structure: left child is
 the successful probe, right child the failed one.  Equal states share one
 node, so a tree is a DAG whose paths are the policy's probe histories.  Each

@@ -7,11 +7,11 @@ check_chain solves the DP once and walks the optimal policy's state keys
 over that memo, reading each key's edge from it, with no decision tree.
 That one walk gives OPT' (descend left at ab), the filtered values ALG_L
 and ALG_R, and the path-event masses; the public transform_optprime,
-value_algL and value_algR each solve once and read one value from the same
-walk.  Greedy's tree gives ab and greedy's value, and the induction
-endpoints are the memo's values at its root children, the states after ab
-succeeds and after it fails.  The events module, through check_key_lemma(inst,
-ab) on inst's optimal tree, is the reference specification of those events.
+value_algL, value_algR and check_key_lemma each solve once and read from the
+same walk, with no tree.  Greedy's tree gives ab and, as its root's value,
+greedy's value, and the induction endpoints are the memo's values at its root
+children, the states after ab succeeds and after it fails.  The events module
+is the reference specification of those events; the tests hold the walk to it.
 
 check_lemma31 (E T(v) <= E L(v) + 1) checks an optimal tree node by node,
 and check_subtree_optimality checks any tree of the instance against the
@@ -27,18 +27,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import apply_failure, apply_success, check_stop, initial_state, kernel
-from .events import (
-    FailsKthOfVertex,
-    Not,
-    ProbesEdge,
-    TakesVertex,
-    TakesVertexAtKth,
-    conditional_probability,
-    event_probability,  # unused here, but perfbench/tracing.py rebinds it
-)
 from .policy import TreeNode, build_tree, greedy_policy
-from .policy import tree_value as subtree_value  # kept only because perfbench's tracer binds it
-from .solver import optimal_policy, optimal_value
+from .solver import optimal_value
+
+# Not called here: imported only because perfbench/tracing.py rebinds these names in this module.
+from .events import conditional_probability, event_probability
+from .policy import tree_value as subtree_value
+from .solver import optimal_policy
 
 TOL = 1e-9
 
@@ -121,26 +116,30 @@ class KeyLemmaResult(NamedTuple):
 
 
 def check_key_lemma(inst, ab):
-    """The key lemma at alpha and at beta, ab's endpoints, on inst's optimal tree, built here.
+    """The key lemma at alpha and at beta, ab's endpoints, read from the one walk of OPT's keys.
 
     Each KeyLemmaResult bounds the take-at-last-probe term by the all-probes-failed term.
-    ValueError unless ab is an edge of inst and p_ab the maximum edge probability.  When the
-    conditioning event (ab never probed) has mass exactly 0, its conditionals are undefined
-    and count as 0, so all terms are 0.
+    ValueError unless ab is an edge of inst and p_ab the maximum edge probability, both judged
+    before the solve.  When the conditioning event (ab never probed) has mass exactly 0, its
+    conditionals are undefined and count as 0, so all terms are 0.
     """
     apply_success(kernel(inst), initial_state(inst), ab)  # every edge is alive at the root
-    alpha, beta, p_ab = inst.edges[ab]
+    p_ab = inst.edges[ab][2]
     if any(p > p_ab for _, _, p in inst.edges):
         raise ValueError("p_ab must be the maximum edge probability")
-    t, not_probe = build_tree(inst, optimal_policy(inst)), Not(ProbesEdge(ab))
+    p_never, *per_end = _walk(inst, optimal_value(inst)[1], ab)[4:]
+    return _key_lemma_pair((1.0 - p_ab) / p_ab, _conditionals(p_never, per_end))
 
-    def cond(event):
-        return conditional_probability(t, event, not_probe) or 0.0
 
+def _conditionals(p_never, per_end):
+    """P(event | ab never probed) for each endpoint's masses; 0 where the condition has no mass."""
+    return [[m / p_never if p_never else 0.0 for m in ms] for ms in per_end]
+
+
+def _key_lemma_pair(r, conds):
+    """The KeyLemmaResult at alpha and at beta, from _conditionals and r = (1 - p_ab) / p_ab."""
     return tuple(
-        KeyLemmaResult((1.0 - p_ab) / p_ab * cond(TakesVertexAtKth(g, inst.patience[g])),
-                       cond(FailsKthOfVertex(g, inst.patience[g])), cond(Not(TakesVertex(g))))
-        for g in (alpha, beta)
+        KeyLemmaResult(r * take_kth, fail_kth, no_take) for _, take_kth, fail_kth, no_take in conds
     )
 
 
@@ -268,21 +267,18 @@ def check_chain(inst, instance_id="", force=False):
     r = (1.0 - p_ab) / p_ab
 
     e_opt, memo = optimal_value(inst, force)
-    e_grd = subtree_value(grd_tree)
+    e_grd = grd_tree.value
 
     # One walk of the optimal policy's keys: the transformed and filtered
     # values, and the masses that R_L, R_R and check_key_lemma define.
     e_optprime, e_algL, e_algR, p_probe, p_never, *per_end = _walk(inst, memo, ab)
     pnot = 1.0 - p_probe
     w = max(pnot, 0.0)  # weight of a residual's conditional term
-    # P(event | ab never probed), worth 0 where the condition has no mass.
-    conds = [[m / p_never if p_never else 0.0 for m in ms] for ms in per_end]
+    conds = _conditionals(p_never, per_end)
     (c_take_a, c_take_a_kth, _, _), (c_take_b, c_take_b_kth, _, _) = conds
     e_RL = p_probe * p_ab + w * c_take_a + w * c_take_b
     e_RR = p_probe * p_ab + w * c_take_a_kth + w * c_take_b_kth
-    kl_a, kl_b = (
-        KeyLemmaResult(r * take_kth, fail_kth, no_take) for _, take_kth, fail_kth, no_take in conds
-    )
+    kl_a, kl_b = _key_lemma_pair(r, conds)
 
     # Induction endpoints: the filtered policies are proper policies for the
     # states after ab succeeds and after it fails, so the optima of those

@@ -4,8 +4,8 @@ The value recursion: V(s) = 0 if no edge is probeable, otherwise the max over
 probeable edges e of p_e * (1 + V(success)) + (1 - p_e) * V(failure).
 Argmax ties break by ascending edge index under exact float comparison.
 
-The memo is keyed by canonical packed states (see core.kernel), so alive and
-probeable coincide and states with the same future are solved once.  _solve
+The memo is keyed by packed states (see core.kernel): alive and probeable
+coincide, but two keys with the same future are each solved.  _solve
 inlines core's apply_success and apply_failure: it is the DP's inner loop,
 and only optimal_value calls it, once, from the root.  That root solve holds
 every state any policy on the instance can reach, so the optimal policy is a
@@ -18,12 +18,11 @@ from .core import SizeCapError, initial_state, kernel, state_budget
 
 
 def _solve(key, mask, rows, memo, limit):
-    """(value, best edge or None) of a canonical packed state not yet in memo.
+    """(value, best edge or None) of a packed state not yet in memo.
 
-    Every alive edge of a canonical key is probeable, and both children are
-    canonical again.  Alive edges are tried in ascending index order and only
-    a strictly larger value replaces the best, so argmax ties break by lowest
-    index.  SizeCapError rather than store more than limit states.
+    Every alive edge of a key, and of both children's keys, is probeable.
+    Alive edges are tried in ascending index order and only a strictly larger
+    value replaces the best, so argmax ties break by lowest index.  SizeCapError rather than store more than limit states.
     """
     best_val = 0.0
     best_edge = None
@@ -54,7 +53,7 @@ def _solve(key, mask, rows, memo, limit):
 def optimal_value(inst, force=False):
     """Optimal expected matched count and the memo of solved states.
 
-    The memo maps canonical packed state keys (see core.kernel) to (value,
+    The memo maps packed state keys (see core.kernel) to (value,
     best edge or None); it holds every state reachable from the initial
     state, so memo[key][1] is the optimal policy's decision at key.  Beyond
     core.MAX_STATES states: SizeCapError, unless force.

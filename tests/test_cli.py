@@ -175,10 +175,17 @@ class TestRatio:
         for module in (cli, proofcheck):
             monkeypatch.setattr(module, "optimal_value", planted_solve)
         monkeypatch.setattr(cli, "policy_value", lambda inst, pol, force=False: e_grd)
-        monkeypatch.setattr(proofcheck, "subtree_value", lambda t: e_grd)
+        real_build = proofcheck.build_tree
+        monkeypatch.setattr(
+            proofcheck,
+            "build_tree",
+            lambda inst, pol, force=False: real_build(inst, pol, force)._replace(value=e_grd),
+        )
         path = write(SINGLE)
         main(["check", "--instance", path])
-        assert f"final {final}" in capsys.readouterr().out.splitlines()
+        lines = capsys.readouterr().out.splitlines()
+        assert f"final {final}" in lines
+        assert lines[1].split(",")[2:4] == [repr(e_opt), repr(e_grd)]  # both plants reached
         assert main(["ratio", "--instance", path]) == (0 if final == "PASS" else 1)
 
     def test_patience_beyond_a_byte(self, write, capsys):

@@ -14,6 +14,7 @@ from conftest import (
 from stochmatch import proofcheck, solver
 from stochmatch.core import Instance, initial_state
 from stochmatch.events import (
+    FailsKthOfVertex,
     Not,
     ProbesEdge,
     TakesVertex,
@@ -24,6 +25,7 @@ from stochmatch.events import (
 from stochmatch.generator import P_GRID
 from stochmatch.policy import build_tree, greedy_policy, tree_value
 from stochmatch.proofcheck import (
+    KeyLemmaResult,
     check_chain,
     check_key_lemma,
     transform_optprime,
@@ -228,6 +230,18 @@ class TestKeyLemma:
         with pytest.raises(TypeError):
             check_key_lemma(opt_tree_of(p4), p4, 1, 1)
 
+    def test_builds_no_tree(self, p4, monkeypatch):
+        # The pair is read from the chain's one walk of OPT's keys, like the
+        # three transforms: no optimal policy and no tree is made.
+        report = check_chain(p4)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("check_key_lemma made a tree or a policy")
+
+        monkeypatch.setattr(proofcheck, "build_tree", refused)
+        monkeypatch.setattr(proofcheck, "optimal_policy", refused)
+        assert check_key_lemma(p4, 1) == (report.keylem_alpha, report.keylem_beta)
+
     def test_no_violations_on_random_instances(self):
         for inst in random_instances(seed=48, count=40):
             ab = greedy_policy(inst)(initial_state(inst))
@@ -397,6 +411,15 @@ class TestChainMatchesReference:
             assert report.e_RL == residual_RL(t, ab, alpha, beta, p_ab)
             assert report.e_RR == residual_RR(t, ab, alpha, beta, t_alpha, t_beta, p_ab)
             assert check_key_lemma(inst, ab) == (report.keylem_alpha, report.keylem_beta)
+            r = (1.0 - p_ab) / p_ab
+            assert (report.keylem_alpha, report.keylem_beta) == tuple(
+                KeyLemmaResult(
+                    r * cond(TakesVertexAtKth(g, t_g)),
+                    cond(FailsKthOfVertex(g, t_g)),
+                    cond(Not(TakesVertex(g))),
+                )
+                for g, t_g in ((alpha, t_alpha), (beta, t_beta))
+            )
             assert report.cond_take_alpha == cond(TakesVertex(alpha))
             assert report.cond_take_beta == cond(TakesVertex(beta))
             assert report.cond_take_alpha_kth == cond(TakesVertexAtKth(alpha, t_alpha))
