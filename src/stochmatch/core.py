@@ -289,7 +289,7 @@ def apply_success(rows, key, e):
     The one judge of a policy's edge: e must be an int (not a bool) whose
     edge is alive in key, or ValueError."""
     if not (type(e) is int and 0 <= e < len(rows) and key >> e & 1):
-        raise ValueError(f"edge {e} is not alive in this state")
+        raise ValueError(f"edge {e!r} is not alive in this state")
     return key & rows[e][4]
 
 
@@ -297,7 +297,7 @@ def apply_failure(rows, key, e):
     """Failed probe of e: drop e and one unit of patience at both endpoints.
     e is judged as in apply_success."""
     if not (type(e) is int and 0 <= e < len(rows) and key >> e & 1):
-        raise ValueError(f"edge {e} is not alive in this state")
+        raise ValueError(f"edge {e!r} is not alive in this state")
     fu, fv, ou, ov, _, dec, _, _ = rows[e]
     key -= dec
     if key & ou and not key & fu:

@@ -14,10 +14,11 @@ children, the states after ab succeeds and after it fails.  The events module
 is the reference specification of those events; the tests hold the walk to it.
 
 check_lemma31 (E T(v) <= E L(v) + 1) checks an optimal tree node by node,
-and check_subtree_optimality checks any tree of the instance against the
-root solve's memo.  holds is the one judge, the only code that compares a
-slack with TOL, the one float tolerance: for the chain's relations, both
-node checks and the ratio command's exit status, the chain's final relation.
+and check_subtree_optimality(inst, pol) builds pol's tree and checks each
+node against the root solve's memo.  holds is the one judge, the only code
+that compares a slack with TOL, the one float tolerance: for the chain's
+relations, both node checks and the ratio command's exit status, the chain's
+final relation.
 A conditional on "ab never probed" is undefined iff that event's mass is
 exactly 0, and then counts as 0.
 """
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import apply_failure, apply_success, check_stop, initial_state, kernel
-from .policy import TreeNode, build_tree, greedy_policy
+from .core import apply_failure, apply_success, initial_state, kernel
+from .policy import build_tree, greedy_policy
 from .solver import optimal_value
 
 # Not called here: imported only because perfbench/tracing.py rebinds these names in this module.
@@ -367,31 +368,19 @@ class OptimalityReport(NamedTuple):
         return not self.violations
 
 
-def check_subtree_optimality(inst, t, force=False):
-    """Check that each distinct subtree's value matches the optimum of its state.
+def check_subtree_optimality(inst, pol, force=False):
+    """Check that each distinct subtree of pol's tree has the optimal value of its state.
 
-    inst is solved once from the root, under core.MAX_STATES or with no
-    budget if force, and each node's optimum read from that memo, which holds
-    every state a tree of inst can reach.  ValueError unless t is a tree of inst: its root
-    inst's initial state, each leaf a stop core.check_stop allows, and each internal node an
-    edge the transitions find alive in its state, with TreeNode children at its outcomes.
+    build_tree(inst, pol, force) judges pol first: an edge that is not alive or a stop
+    while one is raises its ValueError before any solve.  inst is then solved once from
+    the root, under core.MAX_STATES or with no budget if force, and each node's optimum
+    read from that memo, which holds every state a policy on inst can reach.
     """
-    if t.state != initial_state(inst):
-        raise ValueError("the tree's root is not the instance's initial state")
-    rows = kernel(inst)
+    t = build_tree(inst, pol, force)
+    _, memo = optimal_value(inst, force)
     gaps = []
     violations = []
-    _, memo = optimal_value(inst, force)
     for node, path in _first_paths(t):
-        if node.is_leaf:
-            check_stop(inst, node.state)
-        elif (
-            not (isinstance(node.left, TreeNode) and isinstance(node.right, TreeNode))
-            or node.left.state != apply_success(rows, node.state, node.edge)
-            or node.right.state != apply_failure(rows, node.state, node.edge)
-            or (node.u, node.v, node.p) != inst.edges[node.edge]
-        ):
-            raise ValueError(f"node at path {path!r} is not a node of a tree of this instance")
         opt = memo[node.state][0]
         gaps.append(abs(opt - node.value))
         if not holds(gaps[-1], "eq"):

@@ -139,8 +139,8 @@ def test_criterion_6_closed_form_oracles():
 
 
 def test_criterion_7_suboptimality_witness():
-    greedy_report = check_subtree_optimality(P4, build_tree(P4, greedy_policy(P4)))
-    optimal_report = check_subtree_optimality(P4, build_tree(P4, optimal_policy(P4)))
+    greedy_report = check_subtree_optimality(P4, greedy_policy(P4))
+    optimal_report = check_subtree_optimality(P4, optimal_policy(P4))
     root_fails = any(path == "" for path, _, _ in greedy_report.violations)
     ok = (not greedy_report.ok) and root_fails and optimal_report.ok
     verdict("criterion 7: greedy tree fails subtree optimality at P4 root", ok)

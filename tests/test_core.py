@@ -364,7 +364,7 @@ class TestStateBudget:
         "policy_value": lambda inst, force: policy_value(inst, greedy_policy(inst), force=force),
         "check_chain": lambda inst, force: check_chain(inst, force=force),
         "check_subtree_optimality": lambda inst, force: check_subtree_optimality(
-            inst, build_tree(inst, greedy_policy(inst), force=True), force=force
+            inst, greedy_policy(inst), force=force
         ),
     }
 
@@ -394,14 +394,12 @@ class TestStateBudget:
             optimal_value(p4)
 
     def test_subtree_optimality_under_force(self, p4, monkeypatch):
-        # A tree built with force is checked with force, not under the budget.
+        # force covers both the policy's tree and the solve, as in check_chain.
         # Greedy is not optimal on P4, so its report has violations.
-        expected = check_subtree_optimality(p4, build_tree(p4, greedy_policy(p4)))
+        expected = check_subtree_optimality(p4, greedy_policy(p4))
         assert not expected.ok
         monkeypatch.setattr(core, "MAX_STATES", 2)
-        t = build_tree(p4, greedy_policy(p4), force=True)
-        assert check_subtree_optimality(p4, t, force=True) == expected
-        with pytest.raises(SizeCapError):
-            check_subtree_optimality(p4, t)
-        opt = build_tree(p4, optimal_policy(p4, force=True), force=True)
-        assert check_subtree_optimality(p4, opt, force=True).ok
+        assert check_subtree_optimality(p4, greedy_policy(p4), force=True) == expected
+        with pytest.raises(SizeCapError, match="decision tree"):
+            check_subtree_optimality(p4, greedy_policy(p4))
+        assert check_subtree_optimality(p4, optimal_policy(p4, force=True), force=True).ok

@@ -222,11 +222,12 @@ class TestStepCache:
             with pytest.raises(ValueError, match=f"edge {e} is not alive"):
                 simulate(path, lambda key: e, trials=10, seed=1)
 
-    @pytest.mark.parametrize("e", [True, False, 1.0, 0.0])
+    @pytest.mark.parametrize("e", [True, False, 1.0, 0.0, "0"])
     def test_edge_must_be_an_int(self, disjoint_pair, e):
         # True and False were taken as edges 1 and 0; 1.0 raised a bare
-        # TypeError at the shift.  Past the root, the policy is greedy.
+        # TypeError at the shift; "0" was refused as "edge 0", an alive edge.
+        # Past the root, the policy is greedy.
         root = initial_state(disjoint_pair)
         inner = greedy_policy(disjoint_pair)
-        with pytest.raises(ValueError, match=f"edge {e} is not alive"):
+        with pytest.raises(ValueError, match=f"edge {e!r} is not alive"):
             simulate(disjoint_pair, lambda key: e if key == root else inner(key), trials=10, seed=1)

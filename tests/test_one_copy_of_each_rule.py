@@ -1,7 +1,9 @@
 """Each rule about an instance or a key is written once under src/stochmatch.
 
 core.check_stop holds the one message for a policy that stops while an edge
-is alive, and parse_instance leaves the probability range to Instance.  The
+is alive, and only the two places that ask a policy, policy._build and
+montecarlo._step, call it.  parse_instance leaves the probability range to
+Instance.  The
 CLI parses and the library judges: argparse converts each value with int or
 float, and the code that uses the value is the one that checks it.  One
 function of proofcheck, its judge, alone reads TOL, and the CLI computes no
@@ -30,6 +32,21 @@ def test_stop_message_written_once():
         and "stopped while" in node.value
     ]
     assert len(found) == 1
+
+
+def test_check_stop_called_only_where_a_policy_runs():
+    # build_tree and simulate ask the policy, so they alone judge its stops;
+    # every other check of a policy goes through build_tree.
+    callers = [
+        (name, function.name)
+        for name, tree in _trees().items()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and "check_stop" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert sorted(callers) == [("montecarlo.py", "_step"), ("policy.py", "_build")]
 
 
 def test_parse_instance_compares_against_no_float_bound():

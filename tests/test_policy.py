@@ -167,11 +167,12 @@ class TestSharedSubtrees:
         with pytest.raises(ValueError, match=f"edge {e} is not alive"):
             build_tree(path, lambda key: e)
 
-    @pytest.mark.parametrize("e", [True, False, 1.0, 0.0])
+    @pytest.mark.parametrize("e", [True, False, 1.0, 0.0, "0"])
     def test_edge_must_be_an_int(self, disjoint_pair, e):
         # True and False were taken as edges 1 and 0, and the tree's root edge
         # read True; 1.0 raised a bare TypeError at the shift.  The
-        # transitions judge the edge, for every caller.
+        # transitions judge the edge, for every caller, and name it by repr:
+        # "0" was refused as "edge 0", which names an alive edge.
         root = initial_state(disjoint_pair)
         inner = greedy_policy(disjoint_pair)
 
@@ -179,10 +180,10 @@ class TestSharedSubtrees:
             return e if key == root else inner(key)
 
         for evaluate in (build_tree, policy_value):
-            with pytest.raises(ValueError, match=f"edge {e} is not alive"):
+            with pytest.raises(ValueError, match=f"edge {e!r} is not alive"):
                 evaluate(disjoint_pair, pol)
         for apply in (apply_success, apply_failure):
-            with pytest.raises(ValueError, match=f"edge {e} is not alive"):
+            with pytest.raises(ValueError, match=f"edge {e!r} is not alive"):
                 apply(kernel(disjoint_pair), root, e)
 
     def test_node_budget_at_count_and_one_below(self, p4, monkeypatch):

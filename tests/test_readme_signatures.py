@@ -4,7 +4,7 @@ Each inline code span of the form name(args) whose name resolves to a
 function of a stochmatch module (a bare name, or one dotted from the package
 or a module, such as core.state_budget) must pass, as its arguments, a
 prefix of that function's parameters, by name, as `check_subtree_optimality(inst,
-t)` does for check_subtree_optimality(inst, t, force=False).  Keyword
+pol)` does for check_subtree_optimality(inst, pol, force=False).  Keyword
 arguments must name a parameter.
 Names that do not resolve to such a function, such as range and Fraction,
 are skipped.  Fenced code blocks are not read for this.

@@ -13,7 +13,7 @@ from conftest import (
     unpack_key,
 )
 
-from stochmatch import solver
+from stochmatch import proofcheck, solver
 from stochmatch.core import (
     Instance,
     apply_failure,
@@ -23,7 +23,7 @@ from stochmatch.core import (
     probeable_edges,
 )
 from stochmatch.generator import GeneratorSpec, generate_instances
-from stochmatch.policy import TreeNode, build_tree, greedy_policy, policy_value, tree_value
+from stochmatch.policy import build_tree, greedy_policy, policy_value, tree_value
 from stochmatch.proofcheck import check_lemma31, check_subtree_optimality
 from stochmatch.solver import optimal_policy, optimal_value
 
@@ -345,23 +345,20 @@ class TestLemma31:
 
 class TestSubtreeOptimality:
     def test_single_edge(self, single_edge):
-        t = build_tree(single_edge, optimal_policy(single_edge))
-        assert check_subtree_optimality(single_edge, t).ok
+        assert check_subtree_optimality(single_edge, optimal_policy(single_edge)).ok
 
     def test_greedy_suboptimal_on_p4(self, p4):
-        t = build_tree(p4, greedy_policy(p4))
-        report = check_subtree_optimality(p4, t)
+        report = check_subtree_optimality(p4, greedy_policy(p4))
         assert not report.ok
         paths = [path for path, _, _ in report.violations]
         assert "" in paths  # fails at the root
 
     def test_optimal_trees_pass(self):
         for inst in random_instances(seed=26, count=25):
-            t = build_tree(inst, optimal_policy(inst))
-            assert check_subtree_optimality(inst, t).ok
+            assert check_subtree_optimality(inst, optimal_policy(inst)).ok
 
     def test_each_shared_node_checked_once(self, disjoint16):
-        report = check_subtree_optimality(disjoint16, build_tree(disjoint16, greedy_policy(disjoint16)))
+        report = check_subtree_optimality(disjoint16, greedy_policy(disjoint16))
         assert report.nodes_checked == 17
         assert report.ok
 
@@ -369,43 +366,22 @@ class TestSubtreeOptimality:
         # Greedy probes edge 45 first, and either outcome leaves the same P4
         # state, so greedy's suboptimal P4 subtree is one node on paths L and R.
         inst = Instance(n=6, edges=p4.edges + ((4, 5, 0.9),), patience=p4.patience + (1, 1))
-        report = check_subtree_optimality(inst, build_tree(inst, greedy_policy(inst)))
+        report = check_subtree_optimality(inst, greedy_policy(inst))
         assert [path for path, _, _ in report.violations] == ["", "L"]
 
-    def test_tree_of_another_instance_rejected(self, p4, single_edge):
-        # Each tree once got a report or a bare KeyError: greedy's single
-        # edge read ('', 0.7, 0.5), and P4 with its middle p at 0.6 read
-        # ('', 1.15, 1.1275) and ('R', 0.8, 0.755), since their keys are keys
-        # of P4's memo; the 5-vertex graph's root key 4095 is not one.
-        p4_middle = Instance(
-            n=4, edges=((0, 1, 0.5), (1, 2, 0.6), (2, 3, 0.5)), patience=p4.patience
-        )
-        band = Instance(
-            n=5,
-            edges=tuple((u, v, 0.5) for u in range(5) for v in range(u + 1, min(u + 3, 5))),
-            patience=(1,) * 5,
-        )
-        foreign = [
-            build_tree(single_edge, greedy_policy(single_edge)),
-            build_tree(p4_middle, optimal_policy(p4_middle)),
-            build_tree(band, greedy_policy(band)),
-        ]
-        for t in foreign:
-            with pytest.raises(ValueError, match="instance"):
-                check_subtree_optimality(p4, t)
-        # An internal node with a child left at None once raised AttributeError.
-        root = initial_state(single_edge)
-        leaf = TreeNode(apply_success(kernel(single_edge), root, 0))
-        for left, right in [(None, None), (leaf, None)]:
-            t = TreeNode(root, 0, 0, 1, 0.7, left, right, 0.7)
-            with pytest.raises(ValueError, match="instance"):
-                check_subtree_optimality(single_edge, t)
-        # An edge of 0.0 passed a range test, and indexing the edges with it
-        # raised TypeError; the transitions refuse it.
-        t = build_tree(single_edge, greedy_policy(single_edge))._replace(edge=0.0)
+    def test_bad_policy_refused_before_the_solve(self, p4, single_edge, monkeypatch):
+        # The check builds the policy's own tree, so build_tree judges every
+        # decision, and it does so before the one solve: with the solve patched
+        # to raise, each refusal still gets build_tree's ValueError.
+        def no_solve(inst, force=False):
+            raise AssertionError("solved before the policy was judged")
+
+        monkeypatch.setattr(proofcheck, "optimal_value", no_solve)
+        # An edge of 0.0 once passed a range test, and indexing the edges with
+        # it raised TypeError; the transitions refuse it.
         with pytest.raises(ValueError, match="edge 0.0 is not alive"):
-            check_subtree_optimality(single_edge, t)
-        # A lone leaf at P4's root stops while every edge is alive, which
-        # build_tree refuses; it once got a report with one violation.
+            check_subtree_optimality(single_edge, lambda key: 0.0)
+        # A policy that stops at P4's root, where every edge is alive; its lone
+        # leaf once got a report with one violation.
         with pytest.raises(ValueError, match="stopped while edges were probeable"):
-            check_subtree_optimality(p4, TreeNode(initial_state(p4)))
+            check_subtree_optimality(p4, lambda key: None)
